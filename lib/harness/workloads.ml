@@ -169,22 +169,17 @@ module type PORT = sig
     ?tel:Tel.t -> ?provenance:bool -> ?fuel:int -> m -> workload:string -> iters:int -> prepared
 end
 
-(* the per-simulator surface [Make_port] needs; four tiny instances below *)
+(* the per-simulator surface [Make_port] needs: the shared engine
+   machine plus the port's calling convention, whose integer argument
+   constructor is named where the port is applied *)
 module type SIM = sig
-  type t
+  include Vmachine.Engine.S
 
-  val create :
-    ?cfg:Vmachine.Mconfig.t -> ?telemetry:Tel.t -> ?trace:Trace.t ->
-    predecode:bool -> blocks:bool -> regions:bool -> unit -> t
+  type arg
 
-  val mem : t -> Vmachine.Mem.t
-  val insns : t -> int
-  val cycles : t -> int
-  val reset_stats : t -> unit
-  val hot_blocks : limit:int -> t -> (int * int) list
-  val alias_block : t -> at:int -> from:int -> bool
-  val resident : t -> int * int
-  val call_ints : ?fuel:int -> t -> entry:int -> int list -> int
+  val int : int -> arg
+  val call : ?fuel:int -> t -> entry:int -> arg list -> unit
+  val ret_int : t -> int
 end
 
 module Make_port (T : Target.S) (S : SIM) : PORT = struct
@@ -196,16 +191,25 @@ module Make_port (T : Target.S) (S : SIM) : PORT = struct
   type m = S.t
 
   let name = T.desc.Machdesc.name
-  let create = S.create
-  let mem = S.mem
-  let insns = S.insns
-  let cycles = S.cycles
+
+  let create ?(cfg = Vmachine.Mconfig.dec5000) ?telemetry ?trace ~predecode ~blocks ~regions () =
+    S.create ?telemetry ?trace ~predecode ~blocks ~regions cfg
+
+  let mem (m : m) = m.S.mem
+  let insns (m : m) = m.S.insns
+  let cycles (m : m) = m.S.cycles
   let reset_stats = S.reset_stats
-  let hot_blocks = S.hot_blocks
+  let hot_blocks ~limit (m : m) = Vmachine.Block_cache.hot_blocks ~limit m.S.bc
   let disasm = T.disasm
-  let call_ints = S.call_ints
-  let alias_block = S.alias_block
-  let resident = S.resident
+
+  let call_ints ?fuel m ~entry vals =
+    S.call ?fuel m ~entry (List.map S.int vals);
+    S.ret_int m
+
+  let alias_block (m : m) ~at ~from = Vmachine.Block_cache.alias m.S.bc ~at ~from
+
+  let resident (m : m) =
+    (Vmachine.Block_cache.resident_count m.S.bc, Vmachine.Region_cache.resident_count m.S.rc)
 
   (* the mixed-ALU loop the throughput benchmarks time *)
   let gen_loop () =
@@ -275,7 +279,7 @@ module Make_port (T : Target.S) (S : SIM) : PORT = struct
     V.end_gen g
 
   let install m (c : Vcode.code) =
-    Vmachine.Mem.install_code (S.mem m) ~addr:c.Vcode.base c.Vcode.gen.Gen.buf
+    Vmachine.Mem.install_code (mem m) ~addr:c.Vcode.base c.Vcode.gen.Gen.buf
 
   (* The router workload.  Keys are monotonic endpoint ids; the live
      set is the sliding window [oldest, next_key).  Each packet picks a
@@ -286,7 +290,7 @@ module Make_port (T : Target.S) (S : SIM) : PORT = struct
      oracle against stale translations at reused slab addresses. *)
   let router ?(tel = Tel.disabled) ?(timeline = Timeline.disabled) ?fuel ?max_live
       ?arena_slabs m =
-    let mem = S.mem m in
+    let mem = mem m in
     let arena_base = 0x100000 in
     let arena_limit =
       Option.map (fun n -> arena_base + (4 * 128 * n)) arena_slabs
@@ -298,8 +302,8 @@ module Make_port (T : Target.S) (S : SIM) : PORT = struct
        tracks plot against the packet ordinal. *)
     if Timeline.is_enabled timeline then begin
       List.iter (fun (n, f) -> Timeline.gauge timeline n f) (SV.gauge_sources sv);
-      Timeline.gauge timeline "engine.blocks.resident" (fun () -> fst (S.resident m));
-      Timeline.gauge timeline "engine.regions.resident" (fun () -> snd (S.resident m));
+      Timeline.gauge timeline "engine.blocks.resident" (fun () -> fst (resident m));
+      Timeline.gauge timeline "engine.regions.resident" (fun () -> snd (resident m));
       Timeline.gauge timeline "tel.events_seen" (fun () -> Tel.events_seen tel)
     end;
     Dpf.Packet.install mem ~addr:pkt_addr (Dpf.Packet.tcp ());
@@ -371,7 +375,7 @@ module Make_port (T : Target.S) (S : SIM) : PORT = struct
            (match SV.lookup sv k with
            | None -> incr drops
            | Some entry ->
-             let got = S.call_ints ?fuel m ~entry [ pkt_addr; 40 ] in
+             let got = call_ints ?fuel m ~entry [ pkt_addr; 40 ] in
              if got <> k then
                Printf.ksprintf failwith "router: packet for key %d classified as %d" k got);
            let dt = Tel.now_ns () - t0 in
@@ -383,7 +387,7 @@ module Make_port (T : Target.S) (S : SIM) : PORT = struct
            match SV.lookup sv k with
            | None -> incr drops
            | Some entry ->
-             let got = S.call_ints ?fuel m ~entry [ pkt_addr; 40 ] in
+             let got = call_ints ?fuel m ~entry [ pkt_addr; 40 ] in
              if got <> k then
                Printf.ksprintf failwith "router: packet for key %d classified as %d" k got);
         Timeline.tick timeline;
@@ -432,12 +436,12 @@ module Make_port (T : Target.S) (S : SIM) : PORT = struct
       in
       Tel.note_gen tel ~prefix:"dpf" c.Dpf.code.Vcode.gen;
       install m c.Dpf.code;
-      DP.install_tables (S.mem m) c;
+      DP.install_tables (mem m) c;
       let run () =
         for k = 0 to iters - 1 do
           let port = 1000 + (k mod 10) in
-          Dpf.Packet.install (S.mem m) ~addr:pkt_addr (Dpf.Packet.tcp ~dst_port:port ());
-          if S.call_ints ?fuel m ~entry:c.Dpf.entry [ pkt_addr; 40 ] <> port - 1000 then
+          Dpf.Packet.install (mem m) ~addr:pkt_addr (Dpf.Packet.tcp ~dst_port:port ());
+          if call_ints ?fuel m ~entry:c.Dpf.entry [ pkt_addr; 40 ] <> port - 1000 then
             failwith "dpf-classify: misclassified packet"
         done
       in
@@ -450,10 +454,10 @@ module Make_port (T : Target.S) (S : SIM) : PORT = struct
       install m code;
       let nwords = 2048 in
       let data = Bytes.init (4 * nwords) (fun i -> Char.chr ((i * 131) land 0xff)) in
-      Vmachine.Mem.blit_bytes (S.mem m) ~addr:src_addr data;
+      Vmachine.Mem.blit_bytes (mem m) ~addr:src_addr data;
       let run () =
         for _ = 1 to max 1 (iters / 250) do
-          ignore (S.call_ints ?fuel m ~entry:code.Vcode.entry_addr [ dst_addr; src_addr; nwords ])
+          ignore (call_ints ?fuel m ~entry:code.Vcode.entry_addr [ dst_addr; src_addr; nwords ])
         done
       in
       { run; regions = [ region "ash" code ] }
@@ -461,7 +465,7 @@ module Make_port (T : Target.S) (S : SIM) : PORT = struct
       let code = generate gen_loop in
       Tel.note_gen tel ~prefix:"loop" code.Vcode.gen;
       install m code;
-      let run () = ignore (S.call_ints ?fuel m ~entry:code.Vcode.entry_addr [ iters ]) in
+      let run () = ignore (call_ints ?fuel m ~entry:code.Vcode.entry_addr [ iters ]) in
       { run; regions = [ region "loop" code ] }
     | "region-loop" ->
       (* [iters] counts inner-loop iterations like alu-loop, so the
@@ -470,7 +474,7 @@ module Make_port (T : Target.S) (S : SIM) : PORT = struct
       Tel.note_gen tel ~prefix:"rloop" code.Vcode.gen;
       install m code;
       let outer = max 1 (iters / 64) in
-      let run () = ignore (S.call_ints ?fuel m ~entry:code.Vcode.entry_addr [ outer ]) in
+      let run () = ignore (call_ints ?fuel m ~entry:code.Vcode.entry_addr [ outer ]) in
       { run; regions = [ region "rloop" code ] }
     | "router" ->
       (* registry churn fixture: [iters] packets over a filter table
@@ -505,119 +509,24 @@ module Make_port (T : Target.S) (S : SIM) : PORT = struct
         | Ok img -> img
         | Error d -> Printf.ksprintf failwith "%s:%s" path (Vasm.diag_to_string d)
       in
-      load_asm_image (S.mem m) img;
-      let run () = ignore (S.call_ints ?fuel m ~entry:img.Vasm.entry [ iters ] : int) in
+      load_asm_image (mem m) img;
+      let run () = ignore (call_ints ?fuel m ~entry:img.Vasm.entry [ iters ] : int) in
       { run; regions = [] }
     | w -> Printf.ksprintf failwith "unknown workload %S" w
 end
 
-module Mips_port =
-  Make_port
-    (Vmips.Mips_backend)
-    (struct
-      module S = Vmips.Mips_sim
+(* the four simulators as [SIM]s (also used by the test harnesses) *)
+module Sims = struct
+  module Mips = struct include Vmips.Mips_sim let int v = Int v end
+  module Sparc = struct include Vsparc.Sparc_sim let int v = Int v end
+  module Alpha = struct include Valpha.Alpha_sim let int v = Int v end
+  module Ppc = struct include Vppc.Ppc_sim let int v = Int v end
+end
 
-      type t = S.t
-
-      let create ?(cfg = Vmachine.Mconfig.dec5000) ?telemetry ?trace ~predecode ~blocks
-          ~regions () =
-        S.create ?telemetry ?trace ~predecode ~blocks ~regions cfg
-
-      let mem (m : t) = m.S.mem
-      let insns (m : t) = m.S.insns
-      let cycles (m : t) = m.S.cycles
-      let reset_stats = S.reset_stats
-      let hot_blocks ~limit (m : t) = Vmachine.Block_cache.hot_blocks ~limit m.S.bc
-      let alias_block (m : t) ~at ~from = Vmachine.Block_cache.alias m.S.bc ~at ~from
-
-      let resident (m : t) =
-        (Vmachine.Block_cache.resident_count m.S.bc, Vmachine.Region_cache.resident_count m.S.rc)
-
-      let call_ints ?fuel m ~entry vals =
-        S.call ?fuel m ~entry (List.map (fun v -> S.Int v) vals);
-        S.ret_int m
-    end)
-
-module Sparc_port =
-  Make_port
-    (Vsparc.Sparc_backend)
-    (struct
-      module S = Vsparc.Sparc_sim
-
-      type t = S.t
-
-      let create ?(cfg = Vmachine.Mconfig.dec5000) ?telemetry ?trace ~predecode ~blocks
-          ~regions () =
-        S.create ?telemetry ?trace ~predecode ~blocks ~regions cfg
-
-      let mem (m : t) = m.S.mem
-      let insns (m : t) = m.S.insns
-      let cycles (m : t) = m.S.cycles
-      let reset_stats = S.reset_stats
-      let hot_blocks ~limit (m : t) = Vmachine.Block_cache.hot_blocks ~limit m.S.bc
-      let alias_block (m : t) ~at ~from = Vmachine.Block_cache.alias m.S.bc ~at ~from
-
-      let resident (m : t) =
-        (Vmachine.Block_cache.resident_count m.S.bc, Vmachine.Region_cache.resident_count m.S.rc)
-
-      let call_ints ?fuel m ~entry vals =
-        S.call ?fuel m ~entry (List.map (fun v -> S.Int v) vals);
-        S.ret_int m
-    end)
-
-module Alpha_port =
-  Make_port
-    (Valpha.Alpha_backend)
-    (struct
-      module S = Valpha.Alpha_sim
-
-      type t = S.t
-
-      let create ?(cfg = Vmachine.Mconfig.dec5000) ?telemetry ?trace ~predecode ~blocks
-          ~regions () =
-        S.create ?telemetry ?trace ~predecode ~blocks ~regions cfg
-
-      let mem (m : t) = m.S.mem
-      let insns (m : t) = m.S.insns
-      let cycles (m : t) = m.S.cycles
-      let reset_stats = S.reset_stats
-      let hot_blocks ~limit (m : t) = Vmachine.Block_cache.hot_blocks ~limit m.S.bc
-      let alias_block (m : t) ~at ~from = Vmachine.Block_cache.alias m.S.bc ~at ~from
-
-      let resident (m : t) =
-        (Vmachine.Block_cache.resident_count m.S.bc, Vmachine.Region_cache.resident_count m.S.rc)
-
-      let call_ints ?fuel m ~entry vals =
-        S.call ?fuel m ~entry (List.map (fun v -> S.Int v) vals);
-        S.ret_int m
-    end)
-
-module Ppc_port =
-  Make_port
-    (Vppc.Ppc_backend)
-    (struct
-      module S = Vppc.Ppc_sim
-
-      type t = S.t
-
-      let create ?(cfg = Vmachine.Mconfig.dec5000) ?telemetry ?trace ~predecode ~blocks
-          ~regions () =
-        S.create ?telemetry ?trace ~predecode ~blocks ~regions cfg
-
-      let mem (m : t) = m.S.mem
-      let insns (m : t) = m.S.insns
-      let cycles (m : t) = m.S.cycles
-      let reset_stats = S.reset_stats
-      let hot_blocks ~limit (m : t) = Vmachine.Block_cache.hot_blocks ~limit m.S.bc
-      let alias_block (m : t) ~at ~from = Vmachine.Block_cache.alias m.S.bc ~at ~from
-
-      let resident (m : t) =
-        (Vmachine.Block_cache.resident_count m.S.bc, Vmachine.Region_cache.resident_count m.S.rc)
-
-      let call_ints ?fuel m ~entry vals =
-        S.call ?fuel m ~entry (List.map (fun v -> S.Int v) vals);
-        S.ret_int m
-    end)
+module Mips_port = Make_port (Vmips.Mips_backend) (Sims.Mips)
+module Sparc_port = Make_port (Vsparc.Sparc_backend) (Sims.Sparc)
+module Alpha_port = Make_port (Valpha.Alpha_backend) (Sims.Alpha)
+module Ppc_port = Make_port (Vppc.Ppc_backend) (Sims.Ppc)
 
 (* ------------------------------------------------------------------ *)
 (* Name tables — the single copy of the CLI vocabulary                 *)

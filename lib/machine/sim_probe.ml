@@ -78,13 +78,14 @@ let fault p ~pc =
   Telemetry.event p.tel Telemetry.Trap ~a:pc ~b:0;
   Trace.mark p.tr Trace.Fault pc
 
-(* a running block aborted via the dirty/Retired protocol after
-   retiring instruction [i] of the block at [entry]; every port's
-   instructions are 4 bytes, so the aborting pc is [entry + 4*i] *)
-let abort p ~entry ~i =
+(* a running block or region pass aborted via the dirty/Retired
+   protocol after retiring instruction [i] (at address [pc]) of the
+   run entered at [entry]; a region's constituent blocks need not be
+   adjacent, so the engine supplies the real address *)
+let abort p ~entry ~i ~pc =
   Telemetry.bump p.tel p.smc_retires;
   Telemetry.event p.tel Telemetry.Block_abort ~a:entry ~b:i;
-  Trace.mark p.tr Trace.Smc_abort (entry + (4 * i))
+  Trace.mark p.tr Trace.Smc_abort pc
 
 (* one compiled-block execution ([exec_chain] entry, self-loops
    included); only called when [enabled] *)

@@ -39,10 +39,11 @@ val retired : t -> int -> unit
     bumps [<port>.faults] and records a [Trap] event *)
 val fault : t -> pc:int -> unit
 
-(** a running block aborted via the dirty/[Retired] protocol after
-    retiring instruction [i] of the block at [entry]: bumps
-    [<port>.smc_retires] and records a [Block_abort] event *)
-val abort : t -> entry:int -> i:int -> unit
+(** a running block or region pass aborted via the dirty/[Retired]
+    protocol after retiring instruction [i], at address [pc], of the run
+    entered at [entry]: bumps [<port>.smc_retires], records a
+    [Block_abort] event and an [Smc_abort] trace marker at [pc] *)
+val abort : t -> entry:int -> i:int -> pc:int -> unit
 
 (** one compiled-block execution (chains and self-loops included);
     call only when [enabled] *)

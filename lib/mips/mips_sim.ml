@@ -14,118 +14,17 @@
    latencies). *)
 
 open Vmachine
+open Engine
 
-let halt_addr = 0x10000000 (* outside simulated memory: return-to-host *)
-
-exception Machine_error of string
-
-type t = {
-  mem : Mem.t;
-  icache : Cache.t;
-  dcache : Cache.t;
-  pdc : Mips_asm.t Decode_cache.t; (* host-side predecode; no cycle effect *)
-  predecode : bool;
-  bc : block Block_cache.t; (* superblock translation cache; no cycle effect *)
-  blocks : bool;
-  rc : region Region_cache.t; (* tier-3 region cache; no cycle effect *)
-  regions : bool;
-  probe : Sim_probe.t;      (* shared telemetry probe; never touches timing *)
-  tr : Trace.t;             (* execution trace; the disabled sink is scratch *)
-  cfg : Mconfig.t;
+type state = {
   regs : int array;   (* 32, sign-extended 32-bit *)
   fregs : int array;  (* 32, raw 32-bit patterns; doubles use even pairs *)
   mutable hi : int;
   mutable lo : int;
   mutable fcc : bool;
-  mutable pc : int;
-  mutable npc : int;
-  mutable btarget : int; (* branch-target scratch for [step]; avoids a per-step ref *)
-  mutable blk_i : int; (* index of the block instruction in flight; abort-fixup scratch *)
-  mutable cycles : int;
-  mutable insns : int;
-  mutable stack_top : int;
 }
 
-(* A compiled straight-line run: one closure per instruction, ending at
-   the first control transfer (compiled in, together with its delay
-   slot) or the [Block_cache.max_insns] cap. *)
-and block = {
-  entry : int;          (* code address of the first instruction *)
-  n : int;              (* instruction count, terminator + delay slot included *)
-  run : unit -> unit;   (* the whole straight-line run fused into one closure:
-                           per-instruction icache probes, [blk_i] updates and
-                           the final pc/npc/insns commit are baked in at
-                           compile time *)
-  has_delay : bool;     (* ends in branch + delay slot (vs. capped fallthrough) *)
-}
-
-(* A tier-3 region: a hot block plus its dominant direct-chained
-   successors fused into one closure per pass, with interior branches
-   specialized to their dominant direction (a mismatch raises
-   [Region_cache.Side_exit]) and the final block committing pc/npc
-   generically.  [r_fast] is the probe-free pass used after the first
-   ([r_run]) pass of a self-looping region has installed every icache
-   line; it equals [r_run] when two region lines conflict in the
-   direct-mapped icache. *)
-and region = {
-  r_entry : int;
-  r_n : int;                   (* instructions retired per full pass *)
-  r_spans : (int * int) array; (* constituent-block (addr, bytes) *)
-  r_run : unit -> unit;        (* one pass, icache probes included *)
-  r_fast : unit -> unit;       (* one pass, probes elided *)
-  r_addrs : int array;         (* region insn index -> code address *)
-  r_delay : bool array;        (* index is its block's delay slot *)
-}
-
-let create ?(predecode = true) ?(blocks = true) ?(regions = false)
-    ?(telemetry = Telemetry.disabled) ?(trace = Trace.disabled) (cfg : Mconfig.t) =
-  let mem = Mem.create ~big_endian:false ~size:cfg.mem_bytes () in
-  let pdc =
-    Decode_cache.create ~tel:telemetry ~trace ~name:"mips.pdc" ~mem_bytes:cfg.mem_bytes ()
-  in
-  let bc = Block_cache.create ~tel:telemetry ~trace ~name:"mips.bc" ~mem_bytes:cfg.mem_bytes
-      ~len_bytes:(fun b -> 4 * b.n) () in
-  let rc = Region_cache.create ~tel:telemetry ~name:"mips.rc" ~mem_bytes:cfg.mem_bytes
-      ~spans:(fun r -> r.r_spans) () in
-  ignore (Mem.add_write_watcher mem (Decode_cache.invalidate pdc) : Mem.watcher);
-  ignore (Mem.add_write_watcher mem (Block_cache.invalidate bc) : Mem.watcher);
-  (* A dropped region must abort a running pass even when the
-     overwritten constituent block is no longer bc-resident (so the
-     Block_cache watcher above dropped nothing): raise bc's dirty flag
-     unconditionally and let the shared store closures raise Retired. *)
-  if regions then
-    ignore
-      (Mem.add_write_watcher mem (fun addr len ->
-           if Region_cache.invalidate rc addr len then Block_cache.mark_dirty bc)
-        : Mem.watcher);
-  {
-    mem;
-    pdc;
-    predecode;
-    bc;
-    blocks;
-    rc;
-    regions;
-    probe = Sim_probe.create ~trace telemetry ~port:"mips" ~predecode ~blocks ~regions;
-    tr = trace;
-    icache = Cache.create ~size_bytes:cfg.icache_bytes ~line_bytes:cfg.line_bytes
-               ~miss_penalty:cfg.imiss_penalty;
-    dcache = Cache.create ~size_bytes:cfg.dcache_bytes ~line_bytes:cfg.line_bytes
-               ~miss_penalty:cfg.dmiss_penalty;
-    cfg;
-    regs = Array.make 32 0;
-    fregs = Array.make 32 0;
-    hi = 0;
-    lo = 0;
-    fcc = false;
-    pc = 0;
-    npc = 4;
-    btarget = 0;
-    blk_i = 0;
-    cycles = 0;
-    insns = 0;
-    stack_top = cfg.mem_bytes - 256;
-  }
+type m = (Mips_asm.t, state) machine
 
 (* branchless sign-extension from bit 31 (OCaml ints are 63-bit, so the
    shift pair drops bits 32+ and replicates bit 31 upward) *)
@@ -135,237 +34,222 @@ let u32 v = v land 0xFFFFFFFF
 
 (* register numbers come out of [Mips_asm.decode] masked to 5 bits, so
    the array bounds check is dead weight on the per-step path *)
-let[@inline] set_reg m r v = if r <> 0 then Array.unsafe_set m.regs r (sext32 v)
-let[@inline] rget m n = Array.unsafe_get m.regs n
+let[@inline] set_reg s r v = if r <> 0 then Array.unsafe_set s.regs r (sext32 v)
+let[@inline] rget s n = Array.unsafe_get s.regs n
 
 (* Doubles live in even/odd pairs, low word in the even register
    (little-endian pairing). *)
-let get_double m f =
-  let lo = m.fregs.(f) land 0xFFFFFFFF and hi = m.fregs.(f + 1) land 0xFFFFFFFF in
+let get_double s f =
+  let lo = s.fregs.(f) land 0xFFFFFFFF and hi = s.fregs.(f + 1) land 0xFFFFFFFF in
   Int64.float_of_bits
     (Int64.logor (Int64.of_int lo) (Int64.shift_left (Int64.of_int hi) 32))
 
-let set_double m f v =
+let set_double s f v =
   let bits = Int64.bits_of_float v in
-  m.fregs.(f) <- Int64.to_int (Int64.logand bits 0xFFFFFFFFL);
-  m.fregs.(f + 1) <- Int64.to_int (Int64.logand (Int64.shift_right_logical bits 32) 0xFFFFFFFFL)
+  s.fregs.(f) <- Int64.to_int (Int64.logand bits 0xFFFFFFFFL);
+  s.fregs.(f + 1) <- Int64.to_int (Int64.logand (Int64.shift_right_logical bits 32) 0xFFFFFFFFL)
 
-let get_single m f = Int32.float_of_bits (Int32.of_int m.fregs.(f))
-let set_single m f v = m.fregs.(f) <- Int32.to_int (Int32.bits_of_float v) land 0xFFFFFFFF
+let get_single s f = Int32.float_of_bits (Int32.of_int s.fregs.(f))
+let set_single s f v = s.fregs.(f) <- Int32.to_int (Int32.bits_of_float v) land 0xFFFFFFFF
 
-let get_fmt m fmt f =
+let get_fmt s fmt f =
   match fmt with
-  | Mips_asm.FS -> get_single m f
-  | Mips_asm.FD -> get_double m f
-  | Mips_asm.FW -> float_of_int (sext32 m.fregs.(f))
+  | Mips_asm.FS -> get_single s f
+  | Mips_asm.FD -> get_double s f
+  | Mips_asm.FW -> float_of_int (sext32 s.fregs.(f))
 
-let set_fmt m fmt f v =
+let set_fmt s fmt f v =
   match fmt with
-  | Mips_asm.FS -> set_single m f v
-  | Mips_asm.FD -> set_double m f v
-  | Mips_asm.FW -> m.fregs.(f) <- u32 (int_of_float v)
+  | Mips_asm.FS -> set_single s f v
+  | Mips_asm.FD -> set_double s f v
+  | Mips_asm.FW -> s.fregs.(f) <- u32 (int_of_float v)
 
-let[@inline] daccess m addr =
-  let p = Cache.access m.dcache addr in
-  if p <> 0 then m.cycles <- m.cycles + p
-(* write-through: always 0 penalty, but the hit/miss stats must tick *)
-let[@inline] waccess m addr = ignore (Cache.write_access m.dcache addr : int)
-
-(* Decode the word at [pc], consulting the predecode cache first.  The
-   miss path preserves the uncached fault behaviour exactly (Mem.Fault
-   on a wild or misaligned pc, Machine_error on an illegal word). *)
-let fetch m pc =
-  match Decode_cache.find m.pdc pc with
-  | Some i -> i
-  | None ->
-    let w = Mem.read_u32 m.mem pc in
-    let insn = try Mips_asm.decode w with Mips_asm.Bad_insn _ ->
-      raise (Machine_error (Printf.sprintf "illegal instruction 0x%08x at 0x%x" w pc))
-    in
-    if m.predecode then Decode_cache.set m.pdc pc insn;
-    insn
+(* a J/Jal target: the 256 MB region of the delay slot *)
+let[@inline] j_target pc t = (u32 (pc + 4) land 0xF0000000) lor (t * 4)
 
 let[@inline] branch m pc off taken =
   if taken then m.btarget <- pc + 4 + (4 * off)
 
-(* Execute one instruction.  Returns unit; updates pc/npc.
-   The caller is responsible for the icache timing access on [m.pc]
-   (see [run_go]/[step]): doing it in the small run loop rather than in
-   this large function keeps its register pressure out of every arm. *)
-let step_inner m pc =
-  m.insns <- m.insns + 1;
-  let insn = fetch m pc in
+let decode mem pc =
+  let w = Mem.read_u32 mem pc in
+  try Mips_asm.decode w with Mips_asm.Bad_insn _ -> illegal w pc
+
+(* Execute the instruction at [m.pc]; updates pc/npc.  The engine has
+   already counted it and made its icache timing access: doing that in
+   the small run loop rather than in this large function keeps its
+   register pressure out of every arm. *)
+let step_inner (m : m) =
+  let pc = m.pc in
+  let insn = match cached m pc with Some i -> i | None -> remember m pc (decode m.mem pc) in
+  let s = m.st in
   let next = m.npc in
   m.btarget <- next + 4;
   (match insn with
   | Nop -> ()
-  | Sll (rd, rt, sh) -> set_reg m rd (rget m rt lsl sh)
-  | Srl (rd, rt, sh) -> set_reg m rd (u32 (rget m rt) lsr sh)
-  | Sra (rd, rt, sh) -> set_reg m rd (rget m rt asr sh)
-  | Sllv (rd, rt, rs) -> set_reg m rd (rget m rt lsl (rget m rs land 31))
-  | Srlv (rd, rt, rs) -> set_reg m rd (u32 (rget m rt) lsr (rget m rs land 31))
-  | Srav (rd, rt, rs) -> set_reg m rd (rget m rt asr (rget m rs land 31))
-  | Jr rs -> m.btarget <- u32 (rget m rs)
+  | Sll (rd, rt, sh) -> set_reg s rd (rget s rt lsl sh)
+  | Srl (rd, rt, sh) -> set_reg s rd (u32 (rget s rt) lsr sh)
+  | Sra (rd, rt, sh) -> set_reg s rd (rget s rt asr sh)
+  | Sllv (rd, rt, rs) -> set_reg s rd (rget s rt lsl (rget s rs land 31))
+  | Srlv (rd, rt, rs) -> set_reg s rd (u32 (rget s rt) lsr (rget s rs land 31))
+  | Srav (rd, rt, rs) -> set_reg s rd (rget s rt asr (rget s rs land 31))
+  | Jr rs -> m.btarget <- u32 (rget s rs)
   | Jalr (rd, rs) ->
-    set_reg m rd (pc + 8);
-    m.btarget <- u32 (rget m rs)
-  | Mfhi rd -> set_reg m rd m.hi
-  | Mflo rd -> set_reg m rd m.lo
+    set_reg s rd (pc + 8);
+    m.btarget <- u32 (rget s rs)
+  | Mfhi rd -> set_reg s rd s.hi
+  | Mflo rd -> set_reg s rd s.lo
   | Mult (rs, rt) ->
     m.cycles <- m.cycles + 11;
-    let p = Int64.mul (Int64.of_int (rget m rs)) (Int64.of_int (rget m rt)) in
-    m.lo <- sext32 (Int64.to_int (Int64.logand p 0xFFFFFFFFL));
-    m.hi <- sext32 (Int64.to_int (Int64.logand (Int64.shift_right_logical p 32) 0xFFFFFFFFL))
+    let p = Int64.mul (Int64.of_int (rget s rs)) (Int64.of_int (rget s rt)) in
+    s.lo <- sext32 (Int64.to_int (Int64.logand p 0xFFFFFFFFL));
+    s.hi <- sext32 (Int64.to_int (Int64.logand (Int64.shift_right_logical p 32) 0xFFFFFFFFL))
   | Multu (rs, rt) ->
     m.cycles <- m.cycles + 11;
-    let p = Int64.mul (Int64.of_int (u32 (rget m rs))) (Int64.of_int (u32 (rget m rt))) in
-    m.lo <- sext32 (Int64.to_int (Int64.logand p 0xFFFFFFFFL));
-    m.hi <- sext32 (Int64.to_int (Int64.logand (Int64.shift_right_logical p 32) 0xFFFFFFFFL))
+    let p = Int64.mul (Int64.of_int (u32 (rget s rs))) (Int64.of_int (u32 (rget s rt))) in
+    s.lo <- sext32 (Int64.to_int (Int64.logand p 0xFFFFFFFFL));
+    s.hi <- sext32 (Int64.to_int (Int64.logand (Int64.shift_right_logical p 32) 0xFFFFFFFFL))
   | Div (rs, rt) ->
     m.cycles <- m.cycles + 34;
-    let a = rget m rs and b = rget m rt in
-    if b = 0 then begin m.lo <- 0; m.hi <- 0 end
+    let a = rget s rs and b = rget s rt in
+    if b = 0 then begin s.lo <- 0; s.hi <- 0 end
     else begin
       (* C-style truncating division *)
       let q = if (a < 0) <> (b < 0) then -(abs a / abs b) else abs a / abs b in
       let rm = a - (q * b) in
-      m.lo <- sext32 q;
-      m.hi <- sext32 rm
+      s.lo <- sext32 q;
+      s.hi <- sext32 rm
     end
   | Divu (rs, rt) ->
     m.cycles <- m.cycles + 34;
-    let a = u32 (rget m rs) and b = u32 (rget m rt) in
-    if b = 0 then begin m.lo <- 0; m.hi <- 0 end
+    let a = u32 (rget s rs) and b = u32 (rget s rt) in
+    if b = 0 then begin s.lo <- 0; s.hi <- 0 end
     else begin
-      m.lo <- sext32 (a / b);
-      m.hi <- sext32 (a mod b)
+      s.lo <- sext32 (a / b);
+      s.hi <- sext32 (a mod b)
     end
-  | Addu (rd, rs, rt) -> set_reg m rd (rget m rs + rget m rt)
-  | Subu (rd, rs, rt) -> set_reg m rd (rget m rs - rget m rt)
-  | And (rd, rs, rt) -> set_reg m rd (rget m rs land rget m rt)
-  | Or (rd, rs, rt) -> set_reg m rd (rget m rs lor rget m rt)
-  | Xor (rd, rs, rt) -> set_reg m rd (rget m rs lxor rget m rt)
-  | Nor (rd, rs, rt) -> set_reg m rd (lnot (rget m rs lor rget m rt))
-  | Slt (rd, rs, rt) -> set_reg m rd (if rget m rs < rget m rt then 1 else 0)
-  | Sltu (rd, rs, rt) -> set_reg m rd (if u32 (rget m rs) < u32 (rget m rt) then 1 else 0)
-  | Addiu (rt, rs, i) -> set_reg m rt (rget m rs + i)
-  | Slti (rt, rs, i) -> set_reg m rt (if rget m rs < i then 1 else 0)
-  | Sltiu (rt, rs, i) -> set_reg m rt (if u32 (rget m rs) < u32 (sext32 i) then 1 else 0)
-  | Andi (rt, rs, i) -> set_reg m rt (rget m rs land i)
-  | Ori (rt, rs, i) -> set_reg m rt (rget m rs lor i)
-  | Xori (rt, rs, i) -> set_reg m rt (rget m rs lxor i)
-  | Lui (rt, i) -> set_reg m rt (i lsl 16)
-  | J t -> m.btarget <- (u32 (pc + 4) land 0xF0000000) lor (t * 4)
+  | Addu (rd, rs, rt) -> set_reg s rd (rget s rs + rget s rt)
+  | Subu (rd, rs, rt) -> set_reg s rd (rget s rs - rget s rt)
+  | And (rd, rs, rt) -> set_reg s rd (rget s rs land rget s rt)
+  | Or (rd, rs, rt) -> set_reg s rd (rget s rs lor rget s rt)
+  | Xor (rd, rs, rt) -> set_reg s rd (rget s rs lxor rget s rt)
+  | Nor (rd, rs, rt) -> set_reg s rd (lnot (rget s rs lor rget s rt))
+  | Slt (rd, rs, rt) -> set_reg s rd (if rget s rs < rget s rt then 1 else 0)
+  | Sltu (rd, rs, rt) -> set_reg s rd (if u32 (rget s rs) < u32 (rget s rt) then 1 else 0)
+  | Addiu (rt, rs, i) -> set_reg s rt (rget s rs + i)
+  | Slti (rt, rs, i) -> set_reg s rt (if rget s rs < i then 1 else 0)
+  | Sltiu (rt, rs, i) -> set_reg s rt (if u32 (rget s rs) < u32 (sext32 i) then 1 else 0)
+  | Andi (rt, rs, i) -> set_reg s rt (rget s rs land i)
+  | Ori (rt, rs, i) -> set_reg s rt (rget s rs lor i)
+  | Xori (rt, rs, i) -> set_reg s rt (rget s rs lxor i)
+  | Lui (rt, i) -> set_reg s rt (i lsl 16)
+  | J t -> m.btarget <- j_target pc t
   | Jal t ->
-    set_reg m 31 (pc + 8);
-    m.btarget <- (u32 (pc + 4) land 0xF0000000) lor (t * 4)
-  | Beq (rs, rt, off) -> branch m pc off (rget m rs = rget m rt)
-  | Bne (rs, rt, off) -> branch m pc off (rget m rs <> rget m rt)
-  | Blez (rs, off) -> branch m pc off (rget m rs <= 0)
-  | Bgtz (rs, off) -> branch m pc off (rget m rs > 0)
-  | Bltz (rs, off) -> branch m pc off (rget m rs < 0)
-  | Bgez (rs, off) -> branch m pc off (rget m rs >= 0)
+    set_reg s 31 (pc + 8);
+    m.btarget <- j_target pc t
+  | Beq (rs, rt, off) -> branch m pc off (rget s rs = rget s rt)
+  | Bne (rs, rt, off) -> branch m pc off (rget s rs <> rget s rt)
+  | Blez (rs, off) -> branch m pc off (rget s rs <= 0)
+  | Bgtz (rs, off) -> branch m pc off (rget s rs > 0)
+  | Bltz (rs, off) -> branch m pc off (rget s rs < 0)
+  | Bgez (rs, off) -> branch m pc off (rget s rs >= 0)
   | Lb (rt, b, o) ->
-    let a = u32 (rget m b) + o in
+    let a = u32 (rget s b) + o in
     daccess m a;
     let v = Mem.read_u8 m.mem a in
-    set_reg m rt (if v land 0x80 <> 0 then v - 0x100 else v)
+    set_reg s rt (if v land 0x80 <> 0 then v - 0x100 else v)
   | Lbu (rt, b, o) ->
-    let a = u32 (rget m b) + o in
+    let a = u32 (rget s b) + o in
     daccess m a;
-    set_reg m rt (Mem.read_u8 m.mem a)
+    set_reg s rt (Mem.read_u8 m.mem a)
   | Lh (rt, b, o) ->
-    let a = u32 (rget m b) + o in
+    let a = u32 (rget s b) + o in
     daccess m a;
     let v = Mem.read_u16 m.mem a in
-    set_reg m rt (if v land 0x8000 <> 0 then v - 0x10000 else v)
+    set_reg s rt (if v land 0x8000 <> 0 then v - 0x10000 else v)
   | Lhu (rt, b, o) ->
-    let a = u32 (rget m b) + o in
+    let a = u32 (rget s b) + o in
     daccess m a;
-    set_reg m rt (Mem.read_u16 m.mem a)
+    set_reg s rt (Mem.read_u16 m.mem a)
   | Lw (rt, b, o) ->
-    let a = u32 (rget m b) + o in
+    let a = u32 (rget s b) + o in
     daccess m a;
-    set_reg m rt (Mem.read_u32 m.mem a)
+    set_reg s rt (Mem.read_u32 m.mem a)
   | Sb (rt, b, o) ->
-    let a = u32 (rget m b) + o in
+    let a = u32 (rget s b) + o in
     waccess m a;
-    Mem.write_u8 m.mem a (rget m rt)
+    Mem.write_u8 m.mem a (rget s rt)
   | Sh (rt, b, o) ->
-    let a = u32 (rget m b) + o in
+    let a = u32 (rget s b) + o in
     waccess m a;
-    Mem.write_u16 m.mem a (rget m rt)
+    Mem.write_u16 m.mem a (rget s rt)
   | Sw (rt, b, o) ->
-    let a = u32 (rget m b) + o in
+    let a = u32 (rget s b) + o in
     waccess m a;
-    Mem.write_u32 m.mem a (u32 (rget m rt))
+    Mem.write_u32 m.mem a (u32 (rget s rt))
   | Lwc1 (ft, b, o) ->
-    let a = u32 (rget m b) + o in
+    let a = u32 (rget s b) + o in
     daccess m a;
-    m.fregs.(ft) <- Mem.read_u32 m.mem a
+    s.fregs.(ft) <- Mem.read_u32 m.mem a
   | Swc1 (ft, b, o) ->
-    let a = u32 (rget m b) + o in
+    let a = u32 (rget s b) + o in
     waccess m a;
-    Mem.write_u32 m.mem a m.fregs.(ft)
+    Mem.write_u32 m.mem a s.fregs.(ft)
   | Ldc1 (ft, b, o) ->
-    let a = u32 (rget m b) + o in
+    let a = u32 (rget s b) + o in
     daccess m a;
-    m.fregs.(ft) <- Mem.read_u32 m.mem a;
-    m.fregs.(ft + 1) <- Mem.read_u32 m.mem (a + 4)
+    s.fregs.(ft) <- Mem.read_u32 m.mem a;
+    s.fregs.(ft + 1) <- Mem.read_u32 m.mem (a + 4)
   | Sdc1 (ft, b, o) ->
-    let a = u32 (rget m b) + o in
+    let a = u32 (rget s b) + o in
     waccess m a;
-    Mem.write_u32 m.mem a m.fregs.(ft);
-    Mem.write_u32 m.mem (a + 4) m.fregs.(ft + 1)
-  | Mtc1 (rt, fs) -> m.fregs.(fs) <- u32 (rget m rt)
-  | Mfc1 (rt, fs) -> set_reg m rt m.fregs.(fs)
+    Mem.write_u32 m.mem a s.fregs.(ft);
+    Mem.write_u32 m.mem (a + 4) s.fregs.(ft + 1)
+  | Mtc1 (rt, fs) -> s.fregs.(fs) <- u32 (rget s rt)
+  | Mfc1 (rt, fs) -> set_reg s rt s.fregs.(fs)
   | Fadd (fmt, fd, fs, ft) ->
     m.cycles <- m.cycles + 1;
-    set_fmt m fmt fd (get_fmt m fmt fs +. get_fmt m fmt ft)
+    set_fmt s fmt fd (get_fmt s fmt fs +. get_fmt s fmt ft)
   | Fsub (fmt, fd, fs, ft) ->
     m.cycles <- m.cycles + 1;
-    set_fmt m fmt fd (get_fmt m fmt fs -. get_fmt m fmt ft)
+    set_fmt s fmt fd (get_fmt s fmt fs -. get_fmt s fmt ft)
   | Fmul (fmt, fd, fs, ft) ->
     m.cycles <- m.cycles + (match fmt with FS -> 3 | _ -> 4);
-    set_fmt m fmt fd (get_fmt m fmt fs *. get_fmt m fmt ft)
+    set_fmt s fmt fd (get_fmt s fmt fs *. get_fmt s fmt ft)
   | Fdiv (fmt, fd, fs, ft) ->
     m.cycles <- m.cycles + (match fmt with FS -> 11 | _ -> 18);
-    set_fmt m fmt fd (get_fmt m fmt fs /. get_fmt m fmt ft)
+    set_fmt s fmt fd (get_fmt s fmt fs /. get_fmt s fmt ft)
   | Fsqrt (fmt, fd, fs) ->
     m.cycles <- m.cycles + (match fmt with FS -> 13 | _ -> 25);
-    set_fmt m fmt fd (sqrt (get_fmt m fmt fs))
-  | Fabs (fmt, fd, fs) -> set_fmt m fmt fd (abs_float (get_fmt m fmt fs))
+    set_fmt s fmt fd (sqrt (get_fmt s fmt fs))
+  | Fabs (fmt, fd, fs) -> set_fmt s fmt fd (abs_float (get_fmt s fmt fs))
   | Fmov (fmt, fd, fs) -> (
     match fmt with
-    | FS | FW -> m.fregs.(fd) <- m.fregs.(fs)
+    | FS | FW -> s.fregs.(fd) <- s.fregs.(fs)
     | FD ->
-      m.fregs.(fd) <- m.fregs.(fs);
-      m.fregs.(fd + 1) <- m.fregs.(fs + 1))
-  | Fneg (fmt, fd, fs) -> set_fmt m fmt fd (-.get_fmt m fmt fs)
+      s.fregs.(fd) <- s.fregs.(fs);
+      s.fregs.(fd + 1) <- s.fregs.(fs + 1))
+  | Fneg (fmt, fd, fs) -> set_fmt s fmt fd (-.get_fmt s fmt fs)
   | Truncw (fmt, fd, fs) ->
-    let v = get_fmt m fmt fs in
-    m.fregs.(fd) <- u32 (int_of_float (Float.trunc v))
+    let v = get_fmt s fmt fs in
+    s.fregs.(fd) <- u32 (int_of_float (Float.trunc v))
   | Cvt (to_, from, fd, fs) ->
-    let v = get_fmt m from fs in
-    set_fmt m to_ fd v
+    let v = get_fmt s from fs in
+    set_fmt s to_ fd v
   | Fcmp (c, fmt, fs, ft) ->
-    let a = get_fmt m fmt fs and b = get_fmt m fmt ft in
-    m.fcc <- (match c with CEq -> a = b | CLt -> a < b | CLe -> a <= b)
-  | Bc1t off -> branch m pc off m.fcc
-  | Bc1f off -> branch m pc off (not m.fcc)
+    let a = get_fmt s fmt fs and b = get_fmt s fmt ft in
+    s.fcc <- (match c with CEq -> a = b | CLt -> a < b | CLe -> a <= b)
+  | Bc1t off -> branch m pc off s.fcc
+  | Bc1f off -> branch m pc off (not s.fcc)
   | Break code -> raise (Machine_error (Printf.sprintf "break %d at 0x%x" code pc)));
   m.pc <- next;
   m.npc <- m.btarget
 
 (* ------------------------------------------------------------------ *)
-(* Superblock translation (see {!Vmachine.Block_cache}): compile a
-   straight-line decoded run into one closure per instruction, executed
-   by [exec_chain] without per-instruction dispatch.  Each closure
+(* Compiled closures for the engine's superblocks and regions: each one
    replicates its [step_inner] arm exactly — same arithmetic, same
-   memory-access order, same cycle surcharges — so a block retires with
-   the same architectural state and timing as the interpreter.  pc/npc
-   are not maintained per instruction; the straight-line values are
-   reconstructed on the (rare) abort paths from [blk_i]. *)
+   memory-access order, same cycle surcharges — so a compiled run
+   retires with the same architectural state and timing as the
+   interpreter. *)
 
 (* Compiled action for one *body* (non-control) instruction; [None]
    when the instruction terminates a block (branches/jumps compile via
@@ -373,203 +257,204 @@ let step_inner m pc =
    Store closures test the block cache's dirty flag after writing: a
    store that invalidated a resident block — possibly the very one
    running — aborts the rest of the run with [Block_cache.Retired]. *)
-let act_of m (insn : Mips_asm.t) : (unit -> unit) option =
+let act_of (m : m) (insn : Mips_asm.t) : (unit -> unit) option =
+  let s = m.st in
   match insn with
   | Nop -> Some (fun () -> ())
-  | Sll (rd, rt, sh) -> Some (fun () -> set_reg m rd (rget m rt lsl sh))
-  | Srl (rd, rt, sh) -> Some (fun () -> set_reg m rd (u32 (rget m rt) lsr sh))
-  | Sra (rd, rt, sh) -> Some (fun () -> set_reg m rd (rget m rt asr sh))
-  | Sllv (rd, rt, rs) -> Some (fun () -> set_reg m rd (rget m rt lsl (rget m rs land 31)))
-  | Srlv (rd, rt, rs) -> Some (fun () -> set_reg m rd (u32 (rget m rt) lsr (rget m rs land 31)))
-  | Srav (rd, rt, rs) -> Some (fun () -> set_reg m rd (rget m rt asr (rget m rs land 31)))
-  | Mfhi rd -> Some (fun () -> set_reg m rd m.hi)
-  | Mflo rd -> Some (fun () -> set_reg m rd m.lo)
+  | Sll (rd, rt, sh) -> Some (fun () -> set_reg s rd (rget s rt lsl sh))
+  | Srl (rd, rt, sh) -> Some (fun () -> set_reg s rd (u32 (rget s rt) lsr sh))
+  | Sra (rd, rt, sh) -> Some (fun () -> set_reg s rd (rget s rt asr sh))
+  | Sllv (rd, rt, rs) -> Some (fun () -> set_reg s rd (rget s rt lsl (rget s rs land 31)))
+  | Srlv (rd, rt, rs) -> Some (fun () -> set_reg s rd (u32 (rget s rt) lsr (rget s rs land 31)))
+  | Srav (rd, rt, rs) -> Some (fun () -> set_reg s rd (rget s rt asr (rget s rs land 31)))
+  | Mfhi rd -> Some (fun () -> set_reg s rd s.hi)
+  | Mflo rd -> Some (fun () -> set_reg s rd s.lo)
   | Mult (rs, rt) ->
     Some
       (fun () ->
         m.cycles <- m.cycles + 11;
-        let p = Int64.mul (Int64.of_int (rget m rs)) (Int64.of_int (rget m rt)) in
-        m.lo <- sext32 (Int64.to_int (Int64.logand p 0xFFFFFFFFL));
-        m.hi <- sext32 (Int64.to_int (Int64.logand (Int64.shift_right_logical p 32) 0xFFFFFFFFL)))
+        let p = Int64.mul (Int64.of_int (rget s rs)) (Int64.of_int (rget s rt)) in
+        s.lo <- sext32 (Int64.to_int (Int64.logand p 0xFFFFFFFFL));
+        s.hi <- sext32 (Int64.to_int (Int64.logand (Int64.shift_right_logical p 32) 0xFFFFFFFFL)))
   | Multu (rs, rt) ->
     Some
       (fun () ->
         m.cycles <- m.cycles + 11;
-        let p = Int64.mul (Int64.of_int (u32 (rget m rs))) (Int64.of_int (u32 (rget m rt))) in
-        m.lo <- sext32 (Int64.to_int (Int64.logand p 0xFFFFFFFFL));
-        m.hi <- sext32 (Int64.to_int (Int64.logand (Int64.shift_right_logical p 32) 0xFFFFFFFFL)))
+        let p = Int64.mul (Int64.of_int (u32 (rget s rs))) (Int64.of_int (u32 (rget s rt))) in
+        s.lo <- sext32 (Int64.to_int (Int64.logand p 0xFFFFFFFFL));
+        s.hi <- sext32 (Int64.to_int (Int64.logand (Int64.shift_right_logical p 32) 0xFFFFFFFFL)))
   | Div (rs, rt) ->
     Some
       (fun () ->
         m.cycles <- m.cycles + 34;
-        let a = rget m rs and b = rget m rt in
-        if b = 0 then begin m.lo <- 0; m.hi <- 0 end
+        let a = rget s rs and b = rget s rt in
+        if b = 0 then begin s.lo <- 0; s.hi <- 0 end
         else begin
           let q = if (a < 0) <> (b < 0) then -(abs a / abs b) else abs a / abs b in
           let rm = a - (q * b) in
-          m.lo <- sext32 q;
-          m.hi <- sext32 rm
+          s.lo <- sext32 q;
+          s.hi <- sext32 rm
         end)
   | Divu (rs, rt) ->
     Some
       (fun () ->
         m.cycles <- m.cycles + 34;
-        let a = u32 (rget m rs) and b = u32 (rget m rt) in
-        if b = 0 then begin m.lo <- 0; m.hi <- 0 end
+        let a = u32 (rget s rs) and b = u32 (rget s rt) in
+        if b = 0 then begin s.lo <- 0; s.hi <- 0 end
         else begin
-          m.lo <- sext32 (a / b);
-          m.hi <- sext32 (a mod b)
+          s.lo <- sext32 (a / b);
+          s.hi <- sext32 (a mod b)
         end)
-  | Addu (rd, rs, rt) -> Some (fun () -> set_reg m rd (rget m rs + rget m rt))
-  | Subu (rd, rs, rt) -> Some (fun () -> set_reg m rd (rget m rs - rget m rt))
-  | And (rd, rs, rt) -> Some (fun () -> set_reg m rd (rget m rs land rget m rt))
-  | Or (rd, rs, rt) -> Some (fun () -> set_reg m rd (rget m rs lor rget m rt))
-  | Xor (rd, rs, rt) -> Some (fun () -> set_reg m rd (rget m rs lxor rget m rt))
-  | Nor (rd, rs, rt) -> Some (fun () -> set_reg m rd (lnot (rget m rs lor rget m rt)))
-  | Slt (rd, rs, rt) -> Some (fun () -> set_reg m rd (if rget m rs < rget m rt then 1 else 0))
+  | Addu (rd, rs, rt) -> Some (fun () -> set_reg s rd (rget s rs + rget s rt))
+  | Subu (rd, rs, rt) -> Some (fun () -> set_reg s rd (rget s rs - rget s rt))
+  | And (rd, rs, rt) -> Some (fun () -> set_reg s rd (rget s rs land rget s rt))
+  | Or (rd, rs, rt) -> Some (fun () -> set_reg s rd (rget s rs lor rget s rt))
+  | Xor (rd, rs, rt) -> Some (fun () -> set_reg s rd (rget s rs lxor rget s rt))
+  | Nor (rd, rs, rt) -> Some (fun () -> set_reg s rd (lnot (rget s rs lor rget s rt)))
+  | Slt (rd, rs, rt) -> Some (fun () -> set_reg s rd (if rget s rs < rget s rt then 1 else 0))
   | Sltu (rd, rs, rt) ->
-    Some (fun () -> set_reg m rd (if u32 (rget m rs) < u32 (rget m rt) then 1 else 0))
-  | Addiu (rt, rs, i) -> Some (fun () -> set_reg m rt (rget m rs + i))
-  | Slti (rt, rs, i) -> Some (fun () -> set_reg m rt (if rget m rs < i then 1 else 0))
+    Some (fun () -> set_reg s rd (if u32 (rget s rs) < u32 (rget s rt) then 1 else 0))
+  | Addiu (rt, rs, i) -> Some (fun () -> set_reg s rt (rget s rs + i))
+  | Slti (rt, rs, i) -> Some (fun () -> set_reg s rt (if rget s rs < i then 1 else 0))
   | Sltiu (rt, rs, i) ->
-    Some (fun () -> set_reg m rt (if u32 (rget m rs) < u32 (sext32 i) then 1 else 0))
-  | Andi (rt, rs, i) -> Some (fun () -> set_reg m rt (rget m rs land i))
-  | Ori (rt, rs, i) -> Some (fun () -> set_reg m rt (rget m rs lor i))
-  | Xori (rt, rs, i) -> Some (fun () -> set_reg m rt (rget m rs lxor i))
-  | Lui (rt, i) -> Some (fun () -> set_reg m rt (i lsl 16))
+    Some (fun () -> set_reg s rt (if u32 (rget s rs) < u32 (sext32 i) then 1 else 0))
+  | Andi (rt, rs, i) -> Some (fun () -> set_reg s rt (rget s rs land i))
+  | Ori (rt, rs, i) -> Some (fun () -> set_reg s rt (rget s rs lor i))
+  | Xori (rt, rs, i) -> Some (fun () -> set_reg s rt (rget s rs lxor i))
+  | Lui (rt, i) -> Some (fun () -> set_reg s rt (i lsl 16))
   | Lb (rt, b, o) ->
     Some
       (fun () ->
-        let a = u32 (rget m b) + o in
+        let a = u32 (rget s b) + o in
         daccess m a;
         let v = Mem.read_u8 m.mem a in
-        set_reg m rt (if v land 0x80 <> 0 then v - 0x100 else v))
+        set_reg s rt (if v land 0x80 <> 0 then v - 0x100 else v))
   | Lbu (rt, b, o) ->
     Some
       (fun () ->
-        let a = u32 (rget m b) + o in
+        let a = u32 (rget s b) + o in
         daccess m a;
-        set_reg m rt (Mem.read_u8 m.mem a))
+        set_reg s rt (Mem.read_u8 m.mem a))
   | Lh (rt, b, o) ->
     Some
       (fun () ->
-        let a = u32 (rget m b) + o in
+        let a = u32 (rget s b) + o in
         daccess m a;
         let v = Mem.read_u16 m.mem a in
-        set_reg m rt (if v land 0x8000 <> 0 then v - 0x10000 else v))
+        set_reg s rt (if v land 0x8000 <> 0 then v - 0x10000 else v))
   | Lhu (rt, b, o) ->
     Some
       (fun () ->
-        let a = u32 (rget m b) + o in
+        let a = u32 (rget s b) + o in
         daccess m a;
-        set_reg m rt (Mem.read_u16 m.mem a))
+        set_reg s rt (Mem.read_u16 m.mem a))
   | Lw (rt, b, o) ->
     Some
       (fun () ->
-        let a = u32 (rget m b) + o in
+        let a = u32 (rget s b) + o in
         daccess m a;
-        set_reg m rt (Mem.read_u32 m.mem a))
+        set_reg s rt (Mem.read_u32 m.mem a))
   | Sb (rt, b, o) ->
     Some
       (fun () ->
-        let a = u32 (rget m b) + o in
+        let a = u32 (rget s b) + o in
         waccess m a;
-        Mem.write_u8 m.mem a (rget m rt);
+        Mem.write_u8 m.mem a (rget s rt);
         if Block_cache.dirty m.bc then raise Block_cache.Retired)
   | Sh (rt, b, o) ->
     Some
       (fun () ->
-        let a = u32 (rget m b) + o in
+        let a = u32 (rget s b) + o in
         waccess m a;
-        Mem.write_u16 m.mem a (rget m rt);
+        Mem.write_u16 m.mem a (rget s rt);
         if Block_cache.dirty m.bc then raise Block_cache.Retired)
   | Sw (rt, b, o) ->
     Some
       (fun () ->
-        let a = u32 (rget m b) + o in
+        let a = u32 (rget s b) + o in
         waccess m a;
-        Mem.write_u32 m.mem a (u32 (rget m rt));
+        Mem.write_u32 m.mem a (u32 (rget s rt));
         if Block_cache.dirty m.bc then raise Block_cache.Retired)
   | Lwc1 (ft, b, o) ->
     Some
       (fun () ->
-        let a = u32 (rget m b) + o in
+        let a = u32 (rget s b) + o in
         daccess m a;
-        m.fregs.(ft) <- Mem.read_u32 m.mem a)
+        s.fregs.(ft) <- Mem.read_u32 m.mem a)
   | Swc1 (ft, b, o) ->
     Some
       (fun () ->
-        let a = u32 (rget m b) + o in
+        let a = u32 (rget s b) + o in
         waccess m a;
-        Mem.write_u32 m.mem a m.fregs.(ft);
+        Mem.write_u32 m.mem a s.fregs.(ft);
         if Block_cache.dirty m.bc then raise Block_cache.Retired)
   | Ldc1 (ft, b, o) ->
     Some
       (fun () ->
-        let a = u32 (rget m b) + o in
+        let a = u32 (rget s b) + o in
         daccess m a;
-        m.fregs.(ft) <- Mem.read_u32 m.mem a;
-        m.fregs.(ft + 1) <- Mem.read_u32 m.mem (a + 4))
+        s.fregs.(ft) <- Mem.read_u32 m.mem a;
+        s.fregs.(ft + 1) <- Mem.read_u32 m.mem (a + 4))
   | Sdc1 (ft, b, o) ->
     Some
       (fun () ->
-        let a = u32 (rget m b) + o in
+        let a = u32 (rget s b) + o in
         waccess m a;
-        Mem.write_u32 m.mem a m.fregs.(ft);
-        Mem.write_u32 m.mem (a + 4) m.fregs.(ft + 1);
+        Mem.write_u32 m.mem a s.fregs.(ft);
+        Mem.write_u32 m.mem (a + 4) s.fregs.(ft + 1);
         if Block_cache.dirty m.bc then raise Block_cache.Retired)
-  | Mtc1 (rt, fs) -> Some (fun () -> m.fregs.(fs) <- u32 (rget m rt))
-  | Mfc1 (rt, fs) -> Some (fun () -> set_reg m rt m.fregs.(fs))
+  | Mtc1 (rt, fs) -> Some (fun () -> s.fregs.(fs) <- u32 (rget s rt))
+  | Mfc1 (rt, fs) -> Some (fun () -> set_reg s rt s.fregs.(fs))
   | Fadd (fmt, fd, fs, ft) ->
     Some
       (fun () ->
         m.cycles <- m.cycles + 1;
-        set_fmt m fmt fd (get_fmt m fmt fs +. get_fmt m fmt ft))
+        set_fmt s fmt fd (get_fmt s fmt fs +. get_fmt s fmt ft))
   | Fsub (fmt, fd, fs, ft) ->
     Some
       (fun () ->
         m.cycles <- m.cycles + 1;
-        set_fmt m fmt fd (get_fmt m fmt fs -. get_fmt m fmt ft))
+        set_fmt s fmt fd (get_fmt s fmt fs -. get_fmt s fmt ft))
   | Fmul (fmt, fd, fs, ft) ->
     let c = match fmt with Mips_asm.FS -> 3 | _ -> 4 in
     Some
       (fun () ->
         m.cycles <- m.cycles + c;
-        set_fmt m fmt fd (get_fmt m fmt fs *. get_fmt m fmt ft))
+        set_fmt s fmt fd (get_fmt s fmt fs *. get_fmt s fmt ft))
   | Fdiv (fmt, fd, fs, ft) ->
     let c = match fmt with Mips_asm.FS -> 11 | _ -> 18 in
     Some
       (fun () ->
         m.cycles <- m.cycles + c;
-        set_fmt m fmt fd (get_fmt m fmt fs /. get_fmt m fmt ft))
+        set_fmt s fmt fd (get_fmt s fmt fs /. get_fmt s fmt ft))
   | Fsqrt (fmt, fd, fs) ->
     let c = match fmt with Mips_asm.FS -> 13 | _ -> 25 in
     Some
       (fun () ->
         m.cycles <- m.cycles + c;
-        set_fmt m fmt fd (sqrt (get_fmt m fmt fs)))
-  | Fabs (fmt, fd, fs) -> Some (fun () -> set_fmt m fmt fd (abs_float (get_fmt m fmt fs)))
+        set_fmt s fmt fd (sqrt (get_fmt s fmt fs)))
+  | Fabs (fmt, fd, fs) -> Some (fun () -> set_fmt s fmt fd (abs_float (get_fmt s fmt fs)))
   | Fmov (fmt, fd, fs) -> (
     match fmt with
-    | FS | FW -> Some (fun () -> m.fregs.(fd) <- m.fregs.(fs))
+    | FS | FW -> Some (fun () -> s.fregs.(fd) <- s.fregs.(fs))
     | FD ->
       Some
         (fun () ->
-          m.fregs.(fd) <- m.fregs.(fs);
-          m.fregs.(fd + 1) <- m.fregs.(fs + 1)))
-  | Fneg (fmt, fd, fs) -> Some (fun () -> set_fmt m fmt fd (-.get_fmt m fmt fs))
+          s.fregs.(fd) <- s.fregs.(fs);
+          s.fregs.(fd + 1) <- s.fregs.(fs + 1)))
+  | Fneg (fmt, fd, fs) -> Some (fun () -> set_fmt s fmt fd (-.get_fmt s fmt fs))
   | Truncw (fmt, fd, fs) ->
     Some
       (fun () ->
-        let v = get_fmt m fmt fs in
-        m.fregs.(fd) <- u32 (int_of_float (Float.trunc v)))
-  | Cvt (to_, from, fd, fs) -> Some (fun () -> set_fmt m to_ fd (get_fmt m from fs))
+        let v = get_fmt s fmt fs in
+        s.fregs.(fd) <- u32 (int_of_float (Float.trunc v)))
+  | Cvt (to_, from, fd, fs) -> Some (fun () -> set_fmt s to_ fd (get_fmt s from fs))
   | Fcmp (c, fmt, fs, ft) ->
     Some
       (match c with
-      | CEq -> fun () -> m.fcc <- get_fmt m fmt fs = get_fmt m fmt ft
-      | CLt -> fun () -> m.fcc <- get_fmt m fmt fs < get_fmt m fmt ft
-      | CLe -> fun () -> m.fcc <- get_fmt m fmt fs <= get_fmt m fmt ft)
+      | CEq -> fun () -> s.fcc <- get_fmt s fmt fs = get_fmt s fmt ft
+      | CLt -> fun () -> s.fcc <- get_fmt s fmt fs < get_fmt s fmt ft
+      | CLe -> fun () -> s.fcc <- get_fmt s fmt fs <= get_fmt s fmt ft)
   | Jr _ | Jalr _ | J _ | Jal _ | Beq _ | Bne _ | Blez _ | Bgtz _ | Bltz _ | Bgez _
   | Bc1t _ | Bc1f _ | Break _ ->
     None
@@ -579,742 +464,96 @@ let act_of m (insn : Mips_asm.t) : (unit -> unit) option =
    an untaken branch) — exactly the interpreter's btarget discipline.
    The delay-slot action runs next and the block commit moves
    btarget into pc. *)
-let term_of m pc (insn : Mips_asm.t) : (unit -> unit) option =
+let term_of (m : m) pc (insn : Mips_asm.t) : (unit -> unit) option =
+  let s = m.st in
   let ft = pc + 8 in
   match insn with
-  | Jr rs -> Some (fun () -> m.btarget <- u32 (rget m rs))
+  | Jr rs -> Some (fun () -> m.btarget <- u32 (rget s rs))
   | Jalr (rd, rs) ->
     Some
       (fun () ->
-        set_reg m rd (pc + 8);
-        m.btarget <- u32 (rget m rs))
+        set_reg s rd (pc + 8);
+        m.btarget <- u32 (rget s rs))
   | J t ->
-    let tgt = (u32 (pc + 4) land 0xF0000000) lor (t * 4) in
+    let tgt = j_target pc t in
     Some (fun () -> m.btarget <- tgt)
   | Jal t ->
-    let tgt = (u32 (pc + 4) land 0xF0000000) lor (t * 4) in
+    let tgt = j_target pc t in
     Some
       (fun () ->
-        set_reg m 31 (pc + 8);
+        set_reg s 31 (pc + 8);
         m.btarget <- tgt)
   | Beq (rs, rt, off) ->
     let tk = pc + 4 + (4 * off) in
-    Some (fun () -> m.btarget <- (if rget m rs = rget m rt then tk else ft))
+    Some (fun () -> m.btarget <- (if rget s rs = rget s rt then tk else ft))
   | Bne (rs, rt, off) ->
     let tk = pc + 4 + (4 * off) in
-    Some (fun () -> m.btarget <- (if rget m rs <> rget m rt then tk else ft))
+    Some (fun () -> m.btarget <- (if rget s rs <> rget s rt then tk else ft))
   | Blez (rs, off) ->
     let tk = pc + 4 + (4 * off) in
-    Some (fun () -> m.btarget <- (if rget m rs <= 0 then tk else ft))
+    Some (fun () -> m.btarget <- (if rget s rs <= 0 then tk else ft))
   | Bgtz (rs, off) ->
     let tk = pc + 4 + (4 * off) in
-    Some (fun () -> m.btarget <- (if rget m rs > 0 then tk else ft))
+    Some (fun () -> m.btarget <- (if rget s rs > 0 then tk else ft))
   | Bltz (rs, off) ->
     let tk = pc + 4 + (4 * off) in
-    Some (fun () -> m.btarget <- (if rget m rs < 0 then tk else ft))
+    Some (fun () -> m.btarget <- (if rget s rs < 0 then tk else ft))
   | Bgez (rs, off) ->
     let tk = pc + 4 + (4 * off) in
-    Some (fun () -> m.btarget <- (if rget m rs >= 0 then tk else ft))
+    Some (fun () -> m.btarget <- (if rget s rs >= 0 then tk else ft))
   | Bc1t off ->
     let tk = pc + 4 + (4 * off) in
-    Some (fun () -> m.btarget <- (if m.fcc then tk else ft))
+    Some (fun () -> m.btarget <- (if s.fcc then tk else ft))
   | Bc1f off ->
     let tk = pc + 4 + (4 * off) in
-    Some (fun () -> m.btarget <- (if not m.fcc then tk else ft))
+    Some (fun () -> m.btarget <- (if not s.fcc then tk else ft))
   | _ -> None
-
-(* instructions allowed before the terminator + delay-slot pair within
-   the [Block_cache.max_insns] cap *)
-let max_body = Block_cache.max_insns - 2
 
 (* Only closures for these instructions can raise: a memory fault from
    a load/store, or [Block_cache.Retired] from a store that invalidated
    a resident block.  Everything else [act_of] compiles is pure OCaml
    arithmetic that cannot raise (the division arms are zero-guarded),
-   and MIPS terminators only write [m.btarget], so the per-instruction
-   [m.blk_i] bookkeeping is baked in at compile time for can-raise
-   instructions alone and elided everywhere else. *)
+   and MIPS terminators only write [m.btarget]. *)
 let act_raises (insn : Mips_asm.t) : bool =
   match insn with
   | Lb _ | Lbu _ | Lh _ | Lhu _ | Lw _ | Sb _ | Sh _ | Sw _
   | Lwc1 _ | Swc1 _ | Ldc1 _ | Sdc1 _ -> true
   | _ -> false
 
-(* Fuse a list of action closures into one, sequencing by direct calls
-   in chunks of four: one chunk-closure entry per four instructions
-   instead of a per-instruction array load and loop-counter update.
-   Exceptions propagate out of the fused closure unchanged. *)
-let rec seq (cs : (unit -> unit) list) : unit -> unit =
-  match cs with
-  | [] -> fun () -> ()
-  | [ a ] -> a
-  | [ a; b ] -> fun () -> a (); b ()
-  | [ a; b; c ] -> fun () -> a (); b (); c ()
-  | [ a; b; c; d ] -> fun () -> a (); b (); c (); d ()
-  | a :: b :: c :: d :: rest ->
-    let r = seq rest in
-    fun () -> a (); b (); c (); d (); r ()
-
-(* Scan the straight-line run entered at [entry]: body instructions up
-   to the first control transfer (collected together with its delay
-   slot), a non-compilable instruction (Break, an illegal word,
-   unmapped memory — left for the interpreter to trap on), or the
-   length cap.  Returns the per-instruction (can-raise, action) list
-   and whether it ends in a terminator + delay-slot pair; [None] if
-   not even one instruction compiles.  Shared by the superblock and
-   region compilers. *)
-let scan_run m entry =
-  let fetch_opt pc =
-    match fetch m pc with
-    | i -> Some i
-    | exception (Machine_error _ | Mem.Fault _) -> None
-  in
-  let body = ref [] and nbody = ref 0 in
-  let fin = ref None in
-  let stop = ref false in
-  let pc = ref entry in
-  while (not !stop) && !nbody < max_body do
-    match fetch_opt !pc with
-    | None -> stop := true
-    | Some insn -> (
-      match act_of m insn with
-      | Some a ->
-        body := (act_raises insn, a) :: !body;
-        incr nbody;
-        pc := !pc + 4
-      | None -> (
-        stop := true;
-        match term_of m !pc insn with
-        | None -> () (* Break: end the block just before it *)
-        | Some t -> (
-          (* the delay slot must itself be a plain body instruction *)
-          match fetch_opt (!pc + 4) with
-          | None -> ()
-          | Some d -> (
-            match act_of m d with
-            | None -> ()
-            | Some da -> fin := Some (t, act_raises d, da)))))
-  done;
-  let tail, has_delay =
-    match !fin with
-    | Some (t, dr, da) -> ([ (false, t); (dr, da) ], true)
-    | None -> ([], false)
-  in
-  match List.rev_append !body tail with
-  | [] -> None
-  | all -> Some (all, has_delay)
-
-(* Compile the straight-line run entered at [entry] into a superblock.
-
-   Timing is baked into the closures: the instruction that starts a new
-   icache line carries the registerized probe (a later same-line fetch
-   is a guaranteed hit — a block spans at most 256 consecutive bytes,
-   far below the icache size, so it cannot evict its own lines, and a
-   guaranteed hit is a no-op under bulk hit reconciliation).  Capturing
-   the tag array here is safe because [Cache.flush] clears it in
-   place. *)
-let compile_block m entry =
-  let tags, shift, mask = Cache.probe m.icache in
-  match scan_run m entry with
-  | None -> None
-  | Some (all, has_delay) ->
-    let n = List.length all in
-    let wrap i (raises, act) =
-      let addr = entry + (4 * i) in
-      let line = addr lsr shift in
-      let boundary = i = 0 || line <> (addr - 4) lsr shift in
-      if boundary then begin
-        let idx = line land mask in
-        if raises then
-          fun () ->
-            m.blk_i <- i;
-            if Array.unsafe_get tags idx <> line then begin
-              let p = Cache.access_uncounted m.icache addr in
-              if p <> 0 then m.cycles <- m.cycles + p
-            end;
-            act ()
-        else
-          fun () ->
-            if Array.unsafe_get tags idx <> line then begin
-              let p = Cache.access_uncounted m.icache addr in
-              if p <> 0 then m.cycles <- m.cycles + p
-            end;
-            act ()
-      end
-      else if raises then
-        fun () ->
-          m.blk_i <- i;
-          act ()
-      else act
-    in
-    (* Traced runs re-bind [wrap] so every per-insn closure records its
-       issue before acting — issue order matches the interpreter's
-       retire stream exactly, including a faulting instruction being the
-       last record.  Untraced compilation takes the [if] arm above
-       untouched, so its closures are the exact same values as before
-       tracing existed (bit-identical behaviour, zero overhead). *)
-    let wrap =
-      if not (Trace.is_enabled m.tr) then wrap
-      else
-        fun i ra ->
-          let f = wrap i ra in
-          let addr = entry + (4 * i) in
-          fun () ->
-            Trace.retire m.tr addr;
-            f ()
-    in
-    (* the commit is one more cannot-raise action fused onto the end:
-       if anything earlier raises, it never runs, and the fixup
-       handlers in [exec_chain] account the partial run instead *)
-    let commit =
-      if has_delay then
-        fun () ->
-          m.insns <- m.insns + n;
-          let t = m.btarget in
-          m.pc <- t;
-          m.npc <- t + 4
-      else begin
-        let ft = entry + (4 * n) in
-        fun () ->
-          m.insns <- m.insns + n;
-          m.pc <- ft;
-          m.npc <- ft + 4
-      end
-    in
-    Some { entry; n; run = seq (List.mapi wrap all @ [ commit ]); has_delay }
-
-(* Execute [b] (preconditions: [b.n <= fuel], [m.npc = b.entry + 4]),
-   then chain directly into the next resident block while fuel lasts.
-   Returns the remaining fuel.  The three exits leave exactly the state
-   the interpreter would:
-   - clean commit: pc/npc move past the block (branch target or capped
-     fallthrough), [insns] advances by the whole run;
-   - [Retired] (a store invalidated a resident block): the aborting
-     instruction has retired, pc/npc name its successor, and control
-     returns to the dispatch loop without chaining;
-   - a fault: the faulting instruction counts as issued (the
-     interpreter increments [insns] before executing), pc names it and
-     npc its successor — just as [run_go] would leave them. *)
-let rec exec_chain m (b : block) fuel =
-  Trace.mark m.tr Trace.Block_enter b.entry;
-  if Sim_probe.enabled m.probe then begin
-    Sim_probe.block_exec m.probe ~entry:b.entry;
-    Block_cache.note_exec m.bc b.entry
-  end;
-  Block_cache.begin_block m.bc;
-  match b.run () with
-  | () ->
-    let fuel = fuel - b.n in
-    if m.pc = halt_addr then fuel
-    else if m.pc = b.entry && b.n <= fuel then
-      (* self-loop fast path: a clean exit means no resident block was
-         invalidated, so [b] is certainly still cached for [entry] *)
-      exec_chain m b fuel
-    else (
-      match Block_cache.find m.bc m.pc with
-      | Some nb when nb.n <= fuel -> exec_chain m nb fuel
-      | _ -> fuel)
-  | exception Block_cache.Retired ->
-    let i = m.blk_i in
-    m.insns <- m.insns + i + 1;
-    Sim_probe.abort m.probe ~entry:b.entry ~i;
-    if b.has_delay && i = b.n - 1 then begin
-      let t = m.btarget in
-      m.pc <- t;
-      m.npc <- t + 4
-    end
-    else begin
-      let a = b.entry + (4 * i) in
-      m.pc <- a + 4;
-      m.npc <- a + 8
-    end;
-    fuel - (i + 1)
-  | exception e ->
-    let i = m.blk_i in
-    m.insns <- m.insns + i + 1;
-    let a = b.entry + (4 * i) in
-    m.pc <- a;
-    m.npc <- (if b.has_delay && i = b.n - 1 then m.btarget else a + 4);
-    raise e
-
-(* ------------------------------------------------------------------ *)
-(* Tier-3 regions (see {!Vmachine.Region_cache}): follow the dominant
-   chain of straight-line runs from a hot entry and fuse the whole
-   trace into one closure per pass.  Interior branch-terminated blocks
-   are specialized to their profiled direction: after the terminator
-   and its delay slot retire, a guard compares the branch scratch
-   against the trace's next block and raises [Side_exit] with the
-   pass-relative retired count on a mismatch.  The final block commits
-   pc/npc generically (so a self-looping trace naturally re-enters the
-   pass loop, and any other exit falls back to block dispatch).  The
-   closures are the same [act_of]/[term_of] values the superblock
-   compiler uses, so architectural state, memory order, cycle
-   surcharges and the dirty/[Retired] abort protocol are shared with
-   tier 2 by construction. *)
-
-let compile_region m entry =
-  let tags, shift, mask = Cache.probe m.icache in
-  (* Follow dominant successors: a branch-terminated block extends
-     through its profiled edge, a capped block through its static
-     fallthrough.  A closed loop (back to [entry]) is *unrolled*:
-     further copies of the loop body are appended while whole copies
-     fit under the block cap, so a short hot loop amortizes the
-     per-pass commit and self-loop check over several iterations (the
-     unrolled backedges are specialized like any interior branch, and
-     for an unconditional jump the guard is omitted entirely).  Stop
-     on an unprofiled edge, an unscannable run, or the cap. *)
-  let rec collect pc first_len acc nblocks =
-    match scan_run m pc with
-    | None -> List.rev acc
-    | Some (all, has_delay) ->
-      let n = List.length all in
-      let acc = (pc, all, has_delay, n) :: acc in
-      let nblocks = nblocks + 1 in
-      let succ =
-        if has_delay then Region_cache.dominant_succ m.rc pc
-        else Some (pc + (4 * n))
-      in
-      (match succ with
-      | Some s when s land 3 = 0 && s > 0 ->
-        if s = entry then begin
-          let fl = match first_len with None -> nblocks | Some f -> f in
-          if
-            nblocks + fl <= Region_cache.max_blocks
-            && nblocks < Region_cache.max_unroll * fl
-          then collect s (Some fl) acc nblocks
-          else List.rev acc
-        end
-        else if nblocks < Region_cache.max_blocks then collect s first_len acc nblocks
-        else List.rev acc
-      | _ -> List.rev acc)
-  in
-  match collect entry None [] 0 with
-  | [] | [ _ ] -> None (* a single block gains nothing over tier 2 *)
-  | blks ->
-    let blks = Array.of_list blks in
-    let nb = Array.length blks in
-    let r_n = Array.fold_left (fun a (_, _, _, n) -> a + n) 0 blks in
-    let spans = Array.map (fun (p, _, _, n) -> (p, 4 * n)) blks in
-    let addrs = Array.make r_n 0 in
-    let delay = Array.make r_n false in
-    let traced = Trace.is_enabled m.tr in
-    (* An unconditional direct jump pins the next pc statically: when
-       it matches the trace successor the guard can never fire and is
-       omitted, so jump-chained code pays nothing between fused
-       blocks.  The decode reads current memory, and any later store
-       to that word invalidates the containing block span (and with it
-       the region). *)
-    let static_jump_target p n =
-      let tpc = p + (4 * (n - 2)) in
-      match fetch m tpc with
-      | J t | Jal t -> Some ((u32 (tpc + 4) land 0xF0000000) lor (t * 4))
-      | _ -> None
-      | exception (Machine_error _ | Mem.Fault _) -> None
-    in
-    (* two closure lists built in step: the probed first pass and the
-       probe-free fast pass; [blk_i]/trace wrapping is identical.
-       [elide] drops the instruction from the fast pass entirely:
-       delay-slot nops retire nothing architectural, and the fast pass
-       neither probes nor traces nor counts per-insn, so the closure
-       call is pure overhead — on jump-chained code a third of the
-       trace.  Positions ([blk_i], side-exit payloads) are assigned at
-       build time, so eliding a closure shifts no index. *)
-    let probed = ref [] and fastc = ref [] in
-    let push_insn i addr raises act boundary elide =
-      let line = addr lsr shift in
-      let idx = line land mask in
-      let pr =
-        if boundary then
-          if raises then
-            fun () ->
-              m.blk_i <- i;
-              if Array.unsafe_get tags idx <> line then begin
-                let p = Cache.access_uncounted m.icache addr in
-                if p <> 0 then m.cycles <- m.cycles + p
-              end;
-              act ()
-          else
-            fun () ->
-              if Array.unsafe_get tags idx <> line then begin
-                let p = Cache.access_uncounted m.icache addr in
-                if p <> 0 then m.cycles <- m.cycles + p
-              end;
-              act ()
-        else if raises then
-          fun () ->
-            m.blk_i <- i;
-            act ()
-        else act
-      in
-      let fa =
-        if raises then
-          fun () ->
-            m.blk_i <- i;
-            act ()
-        else act
-      in
-      let pr, fa =
-        if not traced then (pr, fa)
-        else
-          ( (fun () -> Trace.retire m.tr addr; pr ()),
-            fun () -> Trace.retire m.tr addr; fa () )
-      in
-      probed := pr :: !probed;
-      if not elide then fastc := fa :: !fastc
-    in
-    let k = ref 0 in
-    let prev_line = ref min_int in
-    Array.iteri
-      (fun bi (p, all, has_delay, n) ->
-        List.iteri
-          (fun j (raises, act) ->
-            let i = !k in
-            let addr = p + (4 * j) in
-            addrs.(i) <- addr;
-            if has_delay && j = n - 1 then delay.(i) <- true;
-            let line = addr lsr shift in
-            let elide =
-              (not traced) && (not raises)
-              && (match fetch m addr with
-                 | Nop -> true
-                 | _ -> false
-                 | exception (Machine_error _ | Mem.Fault _) -> false)
-            in
-            push_insn i addr raises act (line <> !prev_line) elide;
-            prev_line := line;
-            incr k)
-          all;
-        if bi < nb - 1 && has_delay then begin
-          (* branch-direction specialization: the pass continues into
-             the profiled successor; anything else side-exits with the
-             instructions retired so far (this block included) *)
-          let expected = (fun (p, _, _, _) -> p) blks.(bi + 1) in
-          match static_jump_target p n with
-          | Some t when t = expected -> () (* guard provably never fires *)
-          | _ ->
-            let kk = !k in
-            let g () =
-              if m.btarget <> expected then raise (Region_cache.Side_exit kk)
-            in
-            probed := g :: !probed;
-            fastc := g :: !fastc
-        end)
-      blks;
-    let commit =
-      let p_last, _, last_delay, n_last = blks.(nb - 1) in
-      if last_delay then
-        fun () ->
-          m.insns <- m.insns + r_n;
-          let t = m.btarget in
-          m.pc <- t;
-          m.npc <- t + 4
-      else begin
-        let ft = p_last + (4 * n_last) in
-        fun () ->
-          m.insns <- m.insns + r_n;
-          m.pc <- ft;
-          m.npc <- ft + 4
-      end
-    in
-    let r_run = seq (List.rev (commit :: !probed)) in
-    (* The fast pass defers even the pc/npc commit: while the trace
-       self-loops, pc stays at the entry (the probed pass committed it
-       there and nothing inside a pass writes it), so the tail only
-       credits the pass and checks the backedge, raising [Loop_exit]
-       for [exec_region] to commit the exit target once the self-loop
-       finally breaks.  A capped final block has a static fallthrough,
-       so it keeps the generic commit (the driver's pc check ends the
-       loop). *)
-    let fast_tail =
-      let _, _, last_delay, _ = blks.(nb - 1) in
-      if last_delay then
-        (fun () ->
-          m.insns <- m.insns + r_n;
-          if m.btarget <> entry then raise Region_cache.Loop_exit)
-      else commit
-    in
-    (* The probe-free pass is only sound when no two distinct region
-       lines collide in the direct-mapped icache: then a completed
-       probed pass leaves every line resident and later passes are
-       guaranteed hits (no-ops under bulk hit reconciliation).  The
-       dcache is separate and nothing else runs between passes. *)
-    let lines =
-      List.sort_uniq compare (Array.to_list (Array.map (fun a -> a lsr shift) addrs))
-    in
-    let fast_ok =
-      List.length (List.sort_uniq compare (List.map (fun l -> l land mask) lines))
-      = List.length lines
-    in
-    let r_fast = if fast_ok then seq (List.rev (fast_tail :: !fastc)) else r_run in
-    Some { r_entry = entry; r_n; r_spans = spans; r_run; r_fast; r_addrs = addrs;
-           r_delay = delay }
-
-(* latency-instrumented entry points: the stopwatch brackets the whole
-   scan/trace-follow + closure compile + cache insert, feeding the
-   bc.compile_ns / rc.promote_ns distributions (no clock read when the
-   sink is disabled) *)
-let compile_block_timed m entry =
-  let t0 = Block_cache.compile_start m.bc in
-  let r = compile_block m entry in
-  Block_cache.compile_done m.bc t0;
-  r
-
-let promote m entry =
-  let t0 = Region_cache.promote_start m.rc in
-  (match compile_region m entry with
-  | Some r -> Region_cache.set m.rc entry ~insns:r.r_n r
-  | None -> Region_cache.mark_unpromotable m.rc entry);
-  Region_cache.promote_done m.rc t0
-
-(* Execute region [r] (preconditions: [r.r_n <= fuel], [m.npc =
-   r.r_entry + 4]): a probed first pass, then probe-free passes while
-   the trace self-loops and fuel lasts.  Exits mirror [exec_chain]
-   exactly, with [r_addrs]/[r_delay] standing in for the straight-line
-   address arithmetic; the extra exit is [Side_exit k], which credits
-   the [k] instructions the pass retired and resumes generic dispatch
-   at the branch scratch. *)
-let exec_region m (r : region) fuel0 =
-  Trace.mark m.tr Trace.Block_enter r.r_entry;
-  if Sim_probe.enabled m.probe then Sim_probe.region_exec m.probe ~entry:r.r_entry;
-  Block_cache.begin_block m.bc;
-  let fuel = ref fuel0 in
-  match
-    r.r_run ();
-    fuel := !fuel - r.r_n;
-    let entry = r.r_entry and rn = r.r_n and fast = r.r_fast in
-    while m.pc = entry && rn <= !fuel do
-      fast ();
-      fuel := !fuel - rn
-    done
-  with
-  | () -> !fuel
-  | exception Region_cache.Loop_exit ->
-    (* the raising fast pass ran to completion and credited itself;
-       perform its deferred commit *)
-    let t = m.btarget in
-    m.pc <- t;
-    m.npc <- t + 4;
-    !fuel - r.r_n
-  | exception Region_cache.Side_exit k ->
-    m.insns <- m.insns + k;
-    Sim_probe.side_exit m.probe ~entry:r.r_entry ~i:k;
-    let t = m.btarget in
-    m.pc <- t;
-    m.npc <- t + 4;
-    !fuel - k
-  | exception Block_cache.Retired ->
-    let i = m.blk_i in
-    m.insns <- m.insns + i + 1;
-    Sim_probe.abort m.probe ~entry:r.r_entry ~i;
-    if r.r_delay.(i) then begin
-      let t = m.btarget in
-      m.pc <- t;
-      m.npc <- t + 4
-    end
-    else begin
-      let a = r.r_addrs.(i) in
-      m.pc <- a + 4;
-      m.npc <- a + 8
-    end;
-    !fuel - (i + 1)
-  | exception e ->
-    let i = m.blk_i in
-    m.insns <- m.insns + i + 1;
-    let a = r.r_addrs.(i) in
-    m.pc <- a;
-    m.npc <- (if r.r_delay.(i) then m.btarget else a + 4);
-    raise e
-
-(* [exec_chain] for regions mode: identical block chaining plus the
-   tier-3 hooks — per-dispatch hotness counting (promoting on the
-   threshold crossing), successor-edge profiling after each clean
-   commit, and chaining into a resident region when one exists at the
-   next pc. *)
-let rec exec_chain_r m (b : block) fuel =
-  Trace.mark m.tr Trace.Block_enter b.entry;
-  if Sim_probe.enabled m.probe then begin
-    Sim_probe.block_exec m.probe ~entry:b.entry;
-    Block_cache.note_exec m.bc b.entry
-  end;
-  if Region_cache.note_dispatch m.rc b.entry then promote m b.entry;
-  Block_cache.begin_block m.bc;
-  match b.run () with
-  | () ->
-    let fuel = fuel - b.n in
-    if m.pc = halt_addr then fuel
-    else begin
-      Region_cache.note_succ m.rc b.entry m.pc;
-      match Region_cache.find m.rc m.pc with
-      | Some r when r.r_n <= fuel -> exec_region m r fuel
-      | _ ->
-        if m.pc = b.entry && b.n <= fuel then exec_chain_r m b fuel
-        else (
-          match Block_cache.find m.bc m.pc with
-          | Some nb when nb.n <= fuel -> exec_chain_r m nb fuel
-          | _ -> fuel)
-    end
-  | exception Block_cache.Retired ->
-    let i = m.blk_i in
-    m.insns <- m.insns + i + 1;
-    Sim_probe.abort m.probe ~entry:b.entry ~i;
-    if b.has_delay && i = b.n - 1 then begin
-      let t = m.btarget in
-      m.pc <- t;
-      m.npc <- t + 4
-    end
-    else begin
-      let a = b.entry + (4 * i) in
-      m.pc <- a + 4;
-      m.npc <- a + 8
-    end;
-    fuel - (i + 1)
-  | exception e ->
-    let i = m.blk_i in
-    m.insns <- m.insns + i + 1;
-    let a = b.entry + (4 * i) in
-    m.pc <- a;
-    m.npc <- (if b.has_delay && i = b.n - 1 then m.btarget else a + 4);
-    raise e
-
-(* ------------------------------------------------------------------ *)
-(* Harness                                                             *)
-
-let default_fuel = 200_000_000
-
-(* Run from [m.pc] until control reaches [halt_addr]. *)
-(* Tight tail-recursive loop: the fuel check is a register countdown
-   rather than a per-step ref increment/compare. *)
-(* single-step with exact cycle accounting (the public interface) *)
-let step m =
-  let mi0 = Cache.misses m.icache in
-  (let p = Cache.access_uncounted m.icache m.pc in
-   if p <> 0 then m.cycles <- m.cycles + p);
-  Trace.retire m.tr m.pc;
-  step_inner m m.pc;
-  m.cycles <- m.cycles + 1;
-  Cache.add_hits m.icache (1 - (Cache.misses m.icache - mi0))
-
-(* [step_inner] defers the 1-cycle-per-instruction component of the
-   accounting to its caller; [run] adds it in bulk at exit from the
-   instruction-count delta, so the hot loop carries one counter update
-   less per step.  Totals are exact whenever [run] returns or raises. *)
 let rec run_go m tags shift mask fuel =
-  let pc = m.pc in
-  if pc <> halt_addr then begin
-    if fuel = 0 then raise (Machine_error "out of fuel (infinite loop?)");
-    let line = pc lsr shift in
-    if Array.unsafe_get tags (line land mask) <> line then
-      (let p = Cache.access_uncounted m.icache pc in
-       if p <> 0 then m.cycles <- m.cycles + p);
-    Trace.retire m.tr pc;
-    step_inner m pc;
+  if interp_ready m tags shift mask fuel then begin
+    step_inner m;
     run_go m tags shift mask (fuel - 1)
   end
 
-(* one interpreted instruction inside the block-dispatch loop: the
-   registerized icache probe of [run_go], then [step_inner] *)
-let[@inline] step_one m tags shift mask =
-  let pc = m.pc in
-  let line = pc lsr shift in
-  if Array.unsafe_get tags (line land mask) <> line then
-    (let p = Cache.access_uncounted m.icache pc in
-     if p <> 0 then m.cycles <- m.cycles + p);
-  Trace.retire m.tr pc;
-  step_inner m pc
+include Engine.Make (struct
+  type insn = Mips_asm.t
+  type nonrec state = state
 
-(* Block-dispatch run loop: resident block -> [exec_chain]; no block
-   yet -> compile, cache, retry; uncompilable entry / insufficient fuel
-   for a whole block / delay-slot entry (npc off the straight line,
-   e.g. after a public [step]) -> one interpreted instruction.  Fuel
-   discipline is identical to [run_go]: a block only runs when it fits
-   whole, so the out-of-fuel point falls on the same instruction. *)
-let rec run_blocks_go m tags shift mask fuel =
-  let pc = m.pc in
-  if pc <> halt_addr then begin
-    if fuel = 0 then raise (Machine_error "out of fuel (infinite loop?)");
-    if m.npc = pc + 4 then (
-      match Block_cache.find m.bc pc with
-      | Some b when b.n <= fuel ->
-        let fuel = exec_chain m b fuel in
-        Sim_probe.chain_flush m.probe;
-        run_blocks_go m tags shift mask fuel
-      | Some _ ->
-        step_one m tags shift mask;
-        run_blocks_go m tags shift mask (fuel - 1)
-      | None -> (
-        match compile_block_timed m pc with
-        | Some b ->
-          Block_cache.set m.bc pc b;
-          run_blocks_go m tags shift mask fuel
-        | None ->
-          step_one m tags shift mask;
-          run_blocks_go m tags shift mask (fuel - 1)))
-    else begin
-      step_one m tags shift mask;
-      run_blocks_go m tags shift mask (fuel - 1)
-    end
-  end
+  let name = "mips"
+  let big_endian = false
+  let stack_reserve = 256
 
-(* Region-dispatch run loop: [run_blocks_go] with a region probe ahead
-   of the block probe, and chaining through [exec_chain_r] so hotness
-   and successor profiles accumulate.  Fuel discipline is unchanged —
-   a region pass only runs when it fits whole, and when it does not,
-   dispatch falls through to the identical block/interpreter ladder. *)
-let rec run_regions_go m tags shift mask fuel =
-  let pc = m.pc in
-  if pc <> halt_addr then begin
-    if fuel = 0 then raise (Machine_error "out of fuel (infinite loop?)");
-    if m.npc = pc + 4 then (
-      match Region_cache.find m.rc pc with
-      | Some r when r.r_n <= fuel ->
-        let fuel = exec_region m r fuel in
-        Sim_probe.chain_flush m.probe;
-        run_regions_go m tags shift mask fuel
-      | _ -> (
-        match Block_cache.find m.bc pc with
-        | Some b when b.n <= fuel ->
-          let fuel = exec_chain_r m b fuel in
-          Sim_probe.chain_flush m.probe;
-          run_regions_go m tags shift mask fuel
-        | Some _ ->
-          step_one m tags shift mask;
-          run_regions_go m tags shift mask (fuel - 1)
-        | None -> (
-          match compile_block_timed m pc with
-          | Some b ->
-            Block_cache.set m.bc pc b;
-            run_regions_go m tags shift mask fuel
-          | None ->
-            step_one m tags shift mask;
-            run_regions_go m tags shift mask (fuel - 1))))
-    else begin
-      step_one m tags shift mask;
-      run_regions_go m tags shift mask (fuel - 1)
-    end
-  end
+  let init_state () =
+    { regs = Array.make 32 0; fregs = Array.make 32 0; hi = 0; lo = 0; fcc = false }
 
-let run ?(fuel = default_fuel) m =
-  let i0 = m.insns in
-  let mi0 = Cache.misses m.icache in
-  let t0 = Sim_probe.run_start m.probe in
-  let finish () =
-    let retired = m.insns - i0 in
-    m.cycles <- m.cycles + retired;
-    Cache.add_hits m.icache (retired - (Cache.misses m.icache - mi0));
-    Sim_probe.chain_flush m.probe;
-    Sim_probe.retired m.probe retired;
-    Sim_probe.run_done m.probe t0
-  in
-  let tags, shift, mask = Cache.probe m.icache in
-  (try
-     if m.regions then run_regions_go m tags shift mask fuel
-     else if m.blocks then run_blocks_go m tags shift mask fuel
-     else run_go m tags shift mask fuel
-   with e ->
-     finish ();
-     Sim_probe.fault m.probe ~pc:m.pc;
-     raise e);
-  finish ()
+  let init_mem _ = ()
+
+  let decode = decode
+  let delay_slot = true
+  let step_inner = step_inner
+  let run_go = run_go
+  let act_of = act_of
+  let term_of = term_of
+  let act_raises = act_raises
+  let term_raises = false
+
+  let jump_target pc : Mips_asm.t -> int option = function
+    | J t | Jal t -> Some (j_target pc t)
+    | _ -> None
+
+  let is_nop : Mips_asm.t -> bool = function Nop -> true | _ -> false
+end)
 
 (* The simplified O32-like argument convention shared with the backend:
    each argument consumes one slot (doubles two, even-aligned); the first
@@ -1326,58 +565,39 @@ type arg = Int of int | Single of float | Double of float
 (* allocation-free: plain recursion over the list with slot/fargs as
    accumulators, so a hot caller (the throughput bench) pays no per-call
    ref cells or iteration closure *)
-let rec place_rest m sp args slot fargs =
+let rec place_rest s mem sp args slot fargs =
   match args with
   | [] -> ()
   | Int v :: rest ->
-    if slot < 4 then set_reg m (4 + slot) v
-    else Mem.write_u32 m.mem (sp + 16 + (4 * slot)) (u32 v);
-    place_rest m sp rest (slot + 1) fargs
+    if slot < 4 then set_reg s (4 + slot) v
+    else Mem.write_u32 mem (sp + 16 + (4 * slot)) (u32 v);
+    place_rest s mem sp rest (slot + 1) fargs
   | Single v :: rest ->
-    if fargs < 2 && slot < 4 then set_single m (12 + (2 * fargs)) v
+    if fargs < 2 && slot < 4 then set_single s (12 + (2 * fargs)) v
     else
-      Mem.write_u32 m.mem
+      Mem.write_u32 mem
         (sp + 16 + (4 * slot))
         (Int32.to_int (Int32.bits_of_float v) land 0xFFFFFFFF);
-    place_rest m sp rest (slot + 1) (fargs + 1)
+    place_rest s mem sp rest (slot + 1) (fargs + 1)
   | Double v :: rest ->
     let slot = slot + (slot land 1) in
-    if fargs < 2 && slot < 4 then set_double m (12 + (2 * fargs)) v
-    else Mem.write_u64 m.mem (sp + 16 + (4 * slot)) (Int64.bits_of_float v);
-    place_rest m sp rest (slot + 2) (fargs + 1)
+    if fargs < 2 && slot < 4 then set_double s (12 + (2 * fargs)) v
+    else Mem.write_u64 mem (sp + 16 + (4 * slot)) (Int64.bits_of_float v);
+    place_rest s mem sp rest (slot + 2) (fargs + 1)
 
-let place_args m ~sp args = place_rest m sp args 0 0
+let place_args (m : t) ~sp args = place_rest m.st m.mem sp args 0 0
 
 (* Call the generated function at [entry] with [args]; returns after the
    function executes its epilogue (jr $ra to the halt address). *)
-let call ?fuel m ~entry args =
+let call ?fuel (m : t) ~entry args =
   let sp = m.stack_top land lnot 7 in
-  m.regs.(Mips_asm.sp) <- sp;
-  m.regs.(Mips_asm.ra) <- halt_addr;
+  m.st.regs.(Mips_asm.sp) <- sp;
+  m.st.regs.(Mips_asm.ra) <- halt_addr;
   place_args m ~sp args;
   m.pc <- entry;
   m.npc <- entry + 4;
   run ?fuel m
 
-let ret_int m = m.regs.(Mips_asm.v0)
-let ret_single m = get_single m 0
-let ret_double m = get_double m 0
-
-let reset_stats m =
-  m.cycles <- 0;
-  m.insns <- 0;
-  Cache.reset_stats m.icache;
-  Cache.reset_stats m.dcache
-
-(* Models v_end's icache invalidation: drop both the timing caches and
-   every predecoded instruction.  (The predecode drop is belt-and-braces
-   — the write watcher already keeps it coherent — and costs nothing on
-   the simulated clock.) *)
-let flush_caches m =
-  Cache.flush m.icache;
-  Cache.flush m.dcache;
-  Decode_cache.clear m.pdc;
-  Block_cache.clear m.bc;
-  Region_cache.clear m.rc
-
-let flush_dcache m = Cache.flush m.dcache
+let ret_int (m : t) = m.st.regs.(Mips_asm.v0)
+let ret_single (m : t) = get_single m.st 0
+let ret_double (m : t) = get_double m.st 0

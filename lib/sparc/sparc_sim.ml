@@ -13,25 +13,11 @@
    same restriction in practice since trap handling lives in the OS). *)
 
 open Vmachine
+open Engine
 
-let halt_addr = 0x10000000
 let nwindows = 8
 
-exception Machine_error of string
-
-type t = {
-  mem : Mem.t;
-  icache : Cache.t;
-  dcache : Cache.t;
-  pdc : Sparc_asm.t Decode_cache.t; (* host-side predecode; no cycle effect *)
-  predecode : bool;
-  bc : block Block_cache.t; (* superblock translation cache; no cycle effect *)
-  blocks : bool;
-  rc : region Region_cache.t; (* tier-3 region cache; no cycle effect *)
-  regions : bool;
-  probe : Sim_probe.t;      (* shared telemetry probe; never touches timing *)
-  tr : Trace.t;             (* execution trace; the disabled sink is scratch *)
-  cfg : Mconfig.t;
+type state = {
   globals : int array;              (* g0-g7; g0 pinned to 0 *)
   wins : int array;                 (* nwindows * 16: locals + ins *)
   mutable cwp : int;
@@ -43,97 +29,9 @@ type t = {
   mutable icc_v : bool;
   mutable icc_c : bool;
   mutable fcc : int;                (* 0 =, 1 <, 2 > *)
-  mutable pc : int;
-  mutable npc : int;
-  mutable btarget : int; (* branch-target scratch for [step]; avoids a per-step ref *)
-  mutable blk_i : int; (* index of the block instruction in flight; abort-fixup scratch *)
-  mutable cycles : int;
-  mutable insns : int;
-  mutable stack_top : int;
 }
 
-(* A compiled straight-line run: one closure per instruction, ending at
-   the first control transfer (compiled in, together with its delay
-   slot) or the [Block_cache.max_insns] cap. *)
-and block = {
-  entry : int;          (* code address of the first instruction *)
-  n : int;              (* instruction count, terminator + delay slot included *)
-  run : unit -> unit;   (* the whole straight-line run fused into one closure:
-                           per-instruction icache probes, [blk_i] updates and
-                           the final pc/npc/insns commit are baked in at
-                           compile time *)
-  has_delay : bool;     (* ends in branch + delay slot (vs. capped fallthrough) *)
-}
-
-(* A tier-3 region (see the MIPS twin for the full commentary): a hot
-   block plus its dominant direct-chained successors fused into one
-   closure per pass, interior branches specialized to their dominant
-   direction with a [Region_cache.Side_exit] guard, and a probe-free
-   fast pass for self-looping traces whose icache lines don't
-   conflict. *)
-and region = {
-  r_entry : int;
-  r_n : int;                   (* instructions retired per full pass *)
-  r_spans : (int * int) array; (* constituent-block (addr, bytes) *)
-  r_run : unit -> unit;        (* one pass, icache probes included *)
-  r_fast : unit -> unit;       (* one pass, probes elided *)
-  r_addrs : int array;         (* region insn index -> code address *)
-  r_delay : bool array;        (* index is its block's delay slot *)
-}
-
-let create ?(predecode = true) ?(blocks = true) ?(regions = false)
-    ?(telemetry = Telemetry.disabled) ?(trace = Trace.disabled) (cfg : Mconfig.t) =
-  let mem = Mem.create ~big_endian:true ~size:cfg.mem_bytes () in
-  let pdc = Decode_cache.create ~tel:telemetry ~trace ~name:"sparc.pdc" ~mem_bytes:cfg.mem_bytes () in
-  let bc = Block_cache.create ~tel:telemetry ~trace ~name:"sparc.bc" ~mem_bytes:cfg.mem_bytes
-      ~len_bytes:(fun b -> 4 * b.n) () in
-  let rc = Region_cache.create ~tel:telemetry ~name:"sparc.rc" ~mem_bytes:cfg.mem_bytes
-      ~spans:(fun r -> r.r_spans) () in
-  ignore (Mem.add_write_watcher mem (Decode_cache.invalidate pdc) : Mem.watcher);
-  ignore (Mem.add_write_watcher mem (Block_cache.invalidate bc) : Mem.watcher);
-  (* A dropped region must abort a running pass even when the
-     overwritten constituent block is no longer bc-resident (so the
-     Block_cache watcher above dropped nothing): raise bc's dirty flag
-     unconditionally and let the shared store closures raise Retired. *)
-  if regions then
-    ignore
-      (Mem.add_write_watcher mem (fun addr len ->
-           if Region_cache.invalidate rc addr len then Block_cache.mark_dirty bc)
-        : Mem.watcher);
-  {
-    mem;
-    pdc;
-    predecode;
-    bc;
-    blocks;
-    rc;
-    regions;
-    probe = Sim_probe.create ~trace telemetry ~port:"sparc" ~predecode ~blocks ~regions;
-    tr = trace;
-    icache = Cache.create ~size_bytes:cfg.icache_bytes ~line_bytes:cfg.line_bytes
-               ~miss_penalty:cfg.imiss_penalty;
-    dcache = Cache.create ~size_bytes:cfg.dcache_bytes ~line_bytes:cfg.line_bytes
-               ~miss_penalty:cfg.dmiss_penalty;
-    cfg;
-    globals = Array.make 8 0;
-    wins = Array.make (nwindows * 16) 0;
-    cwp = 0;
-    depth = 0;
-    blk_i = 0;
-    fregs = Array.make 32 0;
-    y = 0;
-    icc_n = false;
-    icc_z = false;
-    icc_v = false;
-    icc_c = false;
-    fcc = 0;
-    pc = 0;
-    npc = 4;
-    btarget = 0;
-    cycles = 0;
-    insns = 0;
-    stack_top = cfg.mem_bytes - 256;
-  }
+type m = (Sparc_asm.t, state) machine
 
 (* branchless sign-extension from bit 31 (OCaml ints are 63-bit, so the
    shift pair drops bits 32+ and replicates bit 31 upward) *)
@@ -143,451 +41,436 @@ let u32 v = v land 0xFFFFFFFF
 
 (* window-relative register access: outs of window w live as ins of
    window (w-1) mod nwindows *)
-let win_slot m r =
-  if r < 16 then (* outs *) ((m.cwp - 1 + nwindows) mod nwindows * 16) + 8 + (r - 8)
-  else if r < 24 then (m.cwp * 16) + (r - 16) (* locals *)
-  else (m.cwp * 16) + 8 + (r - 24) (* ins *)
+let win_slot s r =
+  if r < 16 then (* outs *) ((s.cwp - 1 + nwindows) mod nwindows * 16) + 8 + (r - 8)
+  else if r < 24 then (s.cwp * 16) + (r - 16) (* locals *)
+  else (s.cwp * 16) + 8 + (r - 24) (* ins *)
 
-let get_reg m r =
+let get_reg s r =
   if r = 0 then 0
-  else if r < 8 then m.globals.(r)
-  else m.wins.(win_slot m r)
+  else if r < 8 then s.globals.(r)
+  else s.wins.(win_slot s r)
 
-let set_reg m r v =
+let set_reg s r v =
   if r = 0 then ()
-  else if r < 8 then m.globals.(r) <- sext32 v
-  else m.wins.(win_slot m r) <- sext32 v
+  else if r < 8 then s.globals.(r) <- sext32 v
+  else s.wins.(win_slot s r) <- sext32 v
 
 (* doubles: even register holds the most-significant word *)
-let get_double m f =
-  let hi = m.fregs.(f) land 0xFFFFFFFF and lo = m.fregs.(f + 1) land 0xFFFFFFFF in
+let get_double s f =
+  let hi = s.fregs.(f) land 0xFFFFFFFF and lo = s.fregs.(f + 1) land 0xFFFFFFFF in
   Int64.float_of_bits
     (Int64.logor (Int64.of_int lo) (Int64.shift_left (Int64.of_int hi) 32))
 
-let set_double m f v =
+let set_double s f v =
   let bits = Int64.bits_of_float v in
-  m.fregs.(f + 1) <- Int64.to_int (Int64.logand bits 0xFFFFFFFFL);
-  m.fregs.(f) <- Int64.to_int (Int64.logand (Int64.shift_right_logical bits 32) 0xFFFFFFFFL)
+  s.fregs.(f + 1) <- Int64.to_int (Int64.logand bits 0xFFFFFFFFL);
+  s.fregs.(f) <- Int64.to_int (Int64.logand (Int64.shift_right_logical bits 32) 0xFFFFFFFFL)
 
-let get_single m f = Int32.float_of_bits (Int32.of_int m.fregs.(f))
-let set_single m f v = m.fregs.(f) <- Int32.to_int (Int32.bits_of_float v) land 0xFFFFFFFF
+let get_single s f = Int32.float_of_bits (Int32.of_int s.fregs.(f))
+let set_single s f v = s.fregs.(f) <- Int32.to_int (Int32.bits_of_float v) land 0xFFFFFFFF
 
-let ri_val m = function Sparc_asm.R r -> get_reg m r | Sparc_asm.Imm v -> v
+let ri_val s = function Sparc_asm.R r -> get_reg s r | Sparc_asm.Imm v -> v
 
-let[@inline] daccess m addr =
-  let p = Cache.access m.dcache addr in
-  if p <> 0 then m.cycles <- m.cycles + p
-(* write-through: always 0 penalty, but the hit/miss stats must tick *)
-let[@inline] waccess m addr = ignore (Cache.write_access m.dcache addr : int)
-
-let set_icc_sub m a b r =
-  m.icc_z <- u32 r = 0;
-  m.icc_n <- r land 0x80000000 <> 0;
-  m.icc_v <- (a lxor b) land (a lxor r) land 0x80000000 <> 0;
-  m.icc_c <- u32 a < u32 b
-
-(* Decode the word at [pc], consulting the predecode cache first.  The
-   miss path preserves the uncached fault behaviour exactly. *)
-let fetch m pc =
-  match Decode_cache.find m.pdc pc with
-  | Some i -> i
-  | None ->
-    let w = Mem.read_u32 m.mem pc in
-    let insn =
-      try Sparc_asm.decode w with Sparc_asm.Bad_insn _ ->
-        raise (Machine_error (Printf.sprintf "illegal instruction 0x%08x at 0x%x" w pc))
-    in
-    if m.predecode then Decode_cache.set m.pdc pc insn;
-    insn
+let set_icc_sub s a b r =
+  s.icc_z <- u32 r = 0;
+  s.icc_n <- r land 0x80000000 <> 0;
+  s.icc_v <- (a lxor b) land (a lxor r) land 0x80000000 <> 0;
+  s.icc_c <- u32 a < u32 b
 
 let[@inline] branch m pc disp taken = if taken then m.btarget <- pc + (4 * disp)
 
-(* The caller is responsible for the icache timing access on [m.pc]
-   (see [run_go]/[step]): doing it in the small run loop rather than in
-   this large function keeps its register pressure out of every arm. *)
-let step_inner m pc =
-  m.insns <- m.insns + 1;
-  let insn = fetch m pc in
+let decode mem pc =
+  let w = Mem.read_u32 mem pc in
+  try Sparc_asm.decode w with Sparc_asm.Bad_insn _ -> illegal w pc
+
+(* Execute the instruction at [m.pc].  The engine has already counted
+   it and made its icache timing access: doing that in the small run
+   loop rather than in this large function keeps its register pressure
+   out of every arm. *)
+let step_inner (m : m) =
+  let pc = m.pc in
+  let insn = match cached m pc with Some i -> i | None -> remember m pc (decode m.mem pc) in
+  let s = m.st in
   let next = m.npc in
   m.btarget <- m.npc + 4;
   (match insn with
   | Sparc_asm.Nop -> ()
-  | Sparc_asm.Sethi (rd, imm22) -> set_reg m rd (imm22 lsl 10)
+  | Sparc_asm.Sethi (rd, imm22) -> set_reg s rd (imm22 lsl 10)
   | Sparc_asm.Alu (a, rd, rs1, ri) -> (
-    let x = get_reg m rs1 and y = ri_val m ri in
+    let x = get_reg s rs1 and y = ri_val s ri in
     match a with
-    | Sparc_asm.Add -> set_reg m rd (x + y)
-    | Sparc_asm.Sub -> set_reg m rd (x - y)
-    | Sparc_asm.And -> set_reg m rd (x land y)
-    | Sparc_asm.Or -> set_reg m rd (x lor y)
-    | Sparc_asm.Xor -> set_reg m rd (x lxor y)
-    | Sparc_asm.Andn -> set_reg m rd (x land lnot y)
-    | Sparc_asm.Orn -> set_reg m rd (x lor lnot y)
-    | Sparc_asm.Xnor -> set_reg m rd (lnot (x lxor y))
-    | Sparc_asm.Addx -> set_reg m rd (x + y + if m.icc_c then 1 else 0)
-    | Sparc_asm.Sll -> set_reg m rd (x lsl (y land 31))
-    | Sparc_asm.Srl -> set_reg m rd (u32 x lsr (y land 31))
-    | Sparc_asm.Sra -> set_reg m rd (x asr (y land 31))
+    | Sparc_asm.Add -> set_reg s rd (x + y)
+    | Sparc_asm.Sub -> set_reg s rd (x - y)
+    | Sparc_asm.And -> set_reg s rd (x land y)
+    | Sparc_asm.Or -> set_reg s rd (x lor y)
+    | Sparc_asm.Xor -> set_reg s rd (x lxor y)
+    | Sparc_asm.Andn -> set_reg s rd (x land lnot y)
+    | Sparc_asm.Orn -> set_reg s rd (x lor lnot y)
+    | Sparc_asm.Xnor -> set_reg s rd (lnot (x lxor y))
+    | Sparc_asm.Addx -> set_reg s rd (x + y + if s.icc_c then 1 else 0)
+    | Sparc_asm.Sll -> set_reg s rd (x lsl (y land 31))
+    | Sparc_asm.Srl -> set_reg s rd (u32 x lsr (y land 31))
+    | Sparc_asm.Sra -> set_reg s rd (x asr (y land 31))
     | Sparc_asm.Umul ->
       m.cycles <- m.cycles + 18;
       let p = Int64.mul (Int64.of_int (u32 x)) (Int64.of_int (u32 y)) in
-      m.y <- Int64.to_int (Int64.shift_right_logical p 32) land 0xFFFFFFFF;
-      set_reg m rd (Int64.to_int (Int64.logand p 0xFFFFFFFFL))
+      s.y <- Int64.to_int (Int64.shift_right_logical p 32) land 0xFFFFFFFF;
+      set_reg s rd (Int64.to_int (Int64.logand p 0xFFFFFFFFL))
     | Sparc_asm.Smul ->
       m.cycles <- m.cycles + 18;
       let p = Int64.mul (Int64.of_int x) (Int64.of_int y) in
-      m.y <- Int64.to_int (Int64.shift_right_logical p 32) land 0xFFFFFFFF;
-      set_reg m rd (Int64.to_int (Int64.logand p 0xFFFFFFFFL))
+      s.y <- Int64.to_int (Int64.shift_right_logical p 32) land 0xFFFFFFFF;
+      set_reg s rd (Int64.to_int (Int64.logand p 0xFFFFFFFFL))
     | Sparc_asm.Udiv ->
       m.cycles <- m.cycles + 36;
       let dividend =
         Int64.logor
-          (Int64.shift_left (Int64.of_int (u32 m.y)) 32)
+          (Int64.shift_left (Int64.of_int (u32 s.y)) 32)
           (Int64.of_int (u32 x))
       in
       let dv = u32 y in
-      if dv = 0 then set_reg m rd 0
-      else set_reg m rd (Int64.to_int (Int64.div dividend (Int64.of_int dv)))
+      if dv = 0 then set_reg s rd 0
+      else set_reg s rd (Int64.to_int (Int64.div dividend (Int64.of_int dv)))
     | Sparc_asm.Sdiv ->
       m.cycles <- m.cycles + 36;
       let dividend =
         Int64.logor
-          (Int64.shift_left (Int64.of_int (u32 m.y)) 32)
+          (Int64.shift_left (Int64.of_int (u32 s.y)) 32)
           (Int64.of_int (u32 x))
       in
-      if y = 0 then set_reg m rd 0
-      else set_reg m rd (Int64.to_int (Int64.div dividend (Int64.of_int y)))
+      if y = 0 then set_reg s rd 0
+      else set_reg s rd (Int64.to_int (Int64.div dividend (Int64.of_int y)))
     | Sparc_asm.Addcc ->
       let r = x + y in
-      m.icc_z <- u32 r = 0;
-      m.icc_n <- r land 0x80000000 <> 0;
-      m.icc_v <- lnot (x lxor y) land (x lxor r) land 0x80000000 <> 0;
-      m.icc_c <- u32 r < u32 x;
-      set_reg m rd r
+      s.icc_z <- u32 r = 0;
+      s.icc_n <- r land 0x80000000 <> 0;
+      s.icc_v <- lnot (x lxor y) land (x lxor r) land 0x80000000 <> 0;
+      s.icc_c <- u32 r < u32 x;
+      set_reg s rd r
     | Sparc_asm.Subcc ->
       let r = x - y in
-      set_icc_sub m x y r;
-      set_reg m rd r)
+      set_icc_sub s x y r;
+      set_reg s rd r)
   | Sparc_asm.Bicc (c, disp) ->
     let t =
       let open Sparc_asm in
       match c with
       | BA -> true
       | BN -> false
-      | BNE -> not m.icc_z
-      | BE -> m.icc_z
-      | BG -> not (m.icc_z || m.icc_n <> m.icc_v)
-      | BLE -> m.icc_z || m.icc_n <> m.icc_v
-      | BGE -> m.icc_n = m.icc_v
-      | BL -> m.icc_n <> m.icc_v
-      | BGU -> (not m.icc_c) && not m.icc_z
-      | BLEU -> m.icc_c || m.icc_z
-      | BCC -> not m.icc_c
-      | BCS -> m.icc_c
-      | BPOS -> not m.icc_n
-      | BNEG -> m.icc_n
+      | BNE -> not s.icc_z
+      | BE -> s.icc_z
+      | BG -> not (s.icc_z || s.icc_n <> s.icc_v)
+      | BLE -> s.icc_z || s.icc_n <> s.icc_v
+      | BGE -> s.icc_n = s.icc_v
+      | BL -> s.icc_n <> s.icc_v
+      | BGU -> (not s.icc_c) && not s.icc_z
+      | BLEU -> s.icc_c || s.icc_z
+      | BCC -> not s.icc_c
+      | BCS -> s.icc_c
+      | BPOS -> not s.icc_n
+      | BNEG -> s.icc_n
     in
     branch m pc disp t
   | Sparc_asm.Fbfcc (c, disp) ->
     let t =
       let open Sparc_asm in
       match c with
-      | FBE -> m.fcc = 0
-      | FBNE -> m.fcc <> 0
-      | FBL -> m.fcc = 1
-      | FBG -> m.fcc = 2
-      | FBLE -> m.fcc = 0 || m.fcc = 1
-      | FBGE -> m.fcc = 0 || m.fcc = 2
+      | FBE -> s.fcc = 0
+      | FBNE -> s.fcc <> 0
+      | FBL -> s.fcc = 1
+      | FBG -> s.fcc = 2
+      | FBLE -> s.fcc = 0 || s.fcc = 1
+      | FBGE -> s.fcc = 0 || s.fcc = 2
     in
     branch m pc disp t
   | Sparc_asm.Call disp ->
-    set_reg m 15 pc;
+    set_reg s 15 pc;
     m.btarget <- pc + (4 * disp)
   | Sparc_asm.Jmpl (rd, rs1, ri) ->
-    set_reg m rd pc;
-    m.btarget <- u32 (get_reg m rs1 + ri_val m ri)
+    set_reg s rd pc;
+    m.btarget <- u32 (get_reg s rs1 + ri_val s ri)
   | Sparc_asm.Save (rd, rs1, ri) ->
-    if m.depth >= nwindows - 2 then raise (Machine_error "register window overflow");
-    let v = get_reg m rs1 + ri_val m ri in
-    m.cwp <- (m.cwp - 1 + nwindows) mod nwindows;
-    m.depth <- m.depth + 1;
-    set_reg m rd v
+    if s.depth >= nwindows - 2 then raise (Machine_error "register window overflow");
+    let v = get_reg s rs1 + ri_val s ri in
+    s.cwp <- (s.cwp - 1 + nwindows) mod nwindows;
+    s.depth <- s.depth + 1;
+    set_reg s rd v
   | Sparc_asm.Restore (rd, rs1, ri) ->
-    if m.depth <= 0 then raise (Machine_error "register window underflow");
-    let v = get_reg m rs1 + ri_val m ri in
-    m.cwp <- (m.cwp + 1) mod nwindows;
-    m.depth <- m.depth - 1;
-    set_reg m rd v
-  | Sparc_asm.Rdy rd -> set_reg m rd m.y
-  | Sparc_asm.Wry (rs1, ri) -> m.y <- u32 (get_reg m rs1 lxor ri_val m ri)
+    if s.depth <= 0 then raise (Machine_error "register window underflow");
+    let v = get_reg s rs1 + ri_val s ri in
+    s.cwp <- (s.cwp + 1) mod nwindows;
+    s.depth <- s.depth - 1;
+    set_reg s rd v
+  | Sparc_asm.Rdy rd -> set_reg s rd s.y
+  | Sparc_asm.Wry (rs1, ri) -> s.y <- u32 (get_reg s rs1 lxor ri_val s ri)
   | Sparc_asm.Ld (rd, rs1, ri) ->
-    let a = u32 (get_reg m rs1 + ri_val m ri) in
+    let a = u32 (get_reg s rs1 + ri_val s ri) in
     daccess m a;
-    set_reg m rd (Mem.read_u32 m.mem a)
+    set_reg s rd (Mem.read_u32 m.mem a)
   | Sparc_asm.Ldsb (rd, rs1, ri) ->
-    let a = u32 (get_reg m rs1 + ri_val m ri) in
+    let a = u32 (get_reg s rs1 + ri_val s ri) in
     daccess m a;
     let v = Mem.read_u8 m.mem a in
-    set_reg m rd (if v land 0x80 <> 0 then v - 0x100 else v)
+    set_reg s rd (if v land 0x80 <> 0 then v - 0x100 else v)
   | Sparc_asm.Ldub (rd, rs1, ri) ->
-    let a = u32 (get_reg m rs1 + ri_val m ri) in
+    let a = u32 (get_reg s rs1 + ri_val s ri) in
     daccess m a;
-    set_reg m rd (Mem.read_u8 m.mem a)
+    set_reg s rd (Mem.read_u8 m.mem a)
   | Sparc_asm.Ldsh (rd, rs1, ri) ->
-    let a = u32 (get_reg m rs1 + ri_val m ri) in
+    let a = u32 (get_reg s rs1 + ri_val s ri) in
     daccess m a;
     let v = Mem.read_u16 m.mem a in
-    set_reg m rd (if v land 0x8000 <> 0 then v - 0x10000 else v)
+    set_reg s rd (if v land 0x8000 <> 0 then v - 0x10000 else v)
   | Sparc_asm.Lduh (rd, rs1, ri) ->
-    let a = u32 (get_reg m rs1 + ri_val m ri) in
+    let a = u32 (get_reg s rs1 + ri_val s ri) in
     daccess m a;
-    set_reg m rd (Mem.read_u16 m.mem a)
+    set_reg s rd (Mem.read_u16 m.mem a)
   | Sparc_asm.St (rd, rs1, ri) ->
-    let a = u32 (get_reg m rs1 + ri_val m ri) in
+    let a = u32 (get_reg s rs1 + ri_val s ri) in
     waccess m a;
-    Mem.write_u32 m.mem a (u32 (get_reg m rd))
+    Mem.write_u32 m.mem a (u32 (get_reg s rd))
   | Sparc_asm.Stb (rd, rs1, ri) ->
-    let a = u32 (get_reg m rs1 + ri_val m ri) in
+    let a = u32 (get_reg s rs1 + ri_val s ri) in
     waccess m a;
-    Mem.write_u8 m.mem a (get_reg m rd)
+    Mem.write_u8 m.mem a (get_reg s rd)
   | Sparc_asm.Sth (rd, rs1, ri) ->
-    let a = u32 (get_reg m rs1 + ri_val m ri) in
+    let a = u32 (get_reg s rs1 + ri_val s ri) in
     waccess m a;
-    Mem.write_u16 m.mem a (get_reg m rd)
+    Mem.write_u16 m.mem a (get_reg s rd)
   | Sparc_asm.Ldf (rd, rs1, ri) ->
-    let a = u32 (get_reg m rs1 + ri_val m ri) in
+    let a = u32 (get_reg s rs1 + ri_val s ri) in
     daccess m a;
-    m.fregs.(rd) <- Mem.read_u32 m.mem a
+    s.fregs.(rd) <- Mem.read_u32 m.mem a
   | Sparc_asm.Lddf (rd, rs1, ri) ->
-    let a = u32 (get_reg m rs1 + ri_val m ri) in
+    let a = u32 (get_reg s rs1 + ri_val s ri) in
     daccess m a;
-    m.fregs.(rd) <- Mem.read_u32 m.mem a;
-    m.fregs.(rd + 1) <- Mem.read_u32 m.mem (a + 4)
+    s.fregs.(rd) <- Mem.read_u32 m.mem a;
+    s.fregs.(rd + 1) <- Mem.read_u32 m.mem (a + 4)
   | Sparc_asm.Stf (rd, rs1, ri) ->
-    let a = u32 (get_reg m rs1 + ri_val m ri) in
+    let a = u32 (get_reg s rs1 + ri_val s ri) in
     waccess m a;
-    Mem.write_u32 m.mem a m.fregs.(rd)
+    Mem.write_u32 m.mem a s.fregs.(rd)
   | Sparc_asm.Stdf (rd, rs1, ri) ->
-    let a = u32 (get_reg m rs1 + ri_val m ri) in
+    let a = u32 (get_reg s rs1 + ri_val s ri) in
     waccess m a;
-    Mem.write_u32 m.mem a m.fregs.(rd);
-    Mem.write_u32 m.mem (a + 4) m.fregs.(rd + 1)
+    Mem.write_u32 m.mem a s.fregs.(rd);
+    Mem.write_u32 m.mem (a + 4) s.fregs.(rd + 1)
   | Sparc_asm.Fpop (p, rd, rs1, rs2) -> (
     let open Sparc_asm in
     match p with
-    | Fadds -> m.cycles <- m.cycles + 1; set_single m rd (get_single m rs1 +. get_single m rs2)
-    | Faddd -> m.cycles <- m.cycles + 1; set_double m rd (get_double m rs1 +. get_double m rs2)
-    | Fsubs -> m.cycles <- m.cycles + 1; set_single m rd (get_single m rs1 -. get_single m rs2)
-    | Fsubd -> m.cycles <- m.cycles + 1; set_double m rd (get_double m rs1 -. get_double m rs2)
-    | Fmuls -> m.cycles <- m.cycles + 3; set_single m rd (get_single m rs1 *. get_single m rs2)
-    | Fmuld -> m.cycles <- m.cycles + 4; set_double m rd (get_double m rs1 *. get_double m rs2)
-    | Fdivs -> m.cycles <- m.cycles + 12; set_single m rd (get_single m rs1 /. get_single m rs2)
-    | Fdivd -> m.cycles <- m.cycles + 18; set_double m rd (get_double m rs1 /. get_double m rs2)
-    | Fmovs -> m.fregs.(rd) <- m.fregs.(rs2)
-    | Fnegs -> set_single m rd (-.get_single m rs2)
-    | Fabss -> set_single m rd (abs_float (get_single m rs2))
-    | Fsqrts -> m.cycles <- m.cycles + 13; set_single m rd (sqrt (get_single m rs2))
-    | Fsqrtd -> m.cycles <- m.cycles + 25; set_double m rd (sqrt (get_double m rs2))
-    | Fitos -> set_single m rd (float_of_int (sext32 m.fregs.(rs2)))
-    | Fitod -> set_double m rd (float_of_int (sext32 m.fregs.(rs2)))
-    | Fstoi -> m.fregs.(rd) <- u32 (int_of_float (Float.trunc (get_single m rs2)))
-    | Fdtoi -> m.fregs.(rd) <- u32 (int_of_float (Float.trunc (get_double m rs2)))
-    | Fstod -> set_double m rd (get_single m rs2)
-    | Fdtos -> set_single m rd (get_double m rs2))
+    | Fadds -> m.cycles <- m.cycles + 1; set_single s rd (get_single s rs1 +. get_single s rs2)
+    | Faddd -> m.cycles <- m.cycles + 1; set_double s rd (get_double s rs1 +. get_double s rs2)
+    | Fsubs -> m.cycles <- m.cycles + 1; set_single s rd (get_single s rs1 -. get_single s rs2)
+    | Fsubd -> m.cycles <- m.cycles + 1; set_double s rd (get_double s rs1 -. get_double s rs2)
+    | Fmuls -> m.cycles <- m.cycles + 3; set_single s rd (get_single s rs1 *. get_single s rs2)
+    | Fmuld -> m.cycles <- m.cycles + 4; set_double s rd (get_double s rs1 *. get_double s rs2)
+    | Fdivs -> m.cycles <- m.cycles + 12; set_single s rd (get_single s rs1 /. get_single s rs2)
+    | Fdivd -> m.cycles <- m.cycles + 18; set_double s rd (get_double s rs1 /. get_double s rs2)
+    | Fmovs -> s.fregs.(rd) <- s.fregs.(rs2)
+    | Fnegs -> set_single s rd (-.get_single s rs2)
+    | Fabss -> set_single s rd (abs_float (get_single s rs2))
+    | Fsqrts -> m.cycles <- m.cycles + 13; set_single s rd (sqrt (get_single s rs2))
+    | Fsqrtd -> m.cycles <- m.cycles + 25; set_double s rd (sqrt (get_double s rs2))
+    | Fitos -> set_single s rd (float_of_int (sext32 s.fregs.(rs2)))
+    | Fitod -> set_double s rd (float_of_int (sext32 s.fregs.(rs2)))
+    | Fstoi -> s.fregs.(rd) <- u32 (int_of_float (Float.trunc (get_single s rs2)))
+    | Fdtoi -> s.fregs.(rd) <- u32 (int_of_float (Float.trunc (get_double s rs2)))
+    | Fstod -> set_double s rd (get_single s rs2)
+    | Fdtos -> set_single s rd (get_double s rs2))
   | Sparc_asm.Fcmps (rs1, rs2) ->
-    let a = get_single m rs1 and b = get_single m rs2 in
-    m.fcc <- (if a = b then 0 else if a < b then 1 else 2)
+    let a = get_single s rs1 and b = get_single s rs2 in
+    s.fcc <- (if a = b then 0 else if a < b then 1 else 2)
   | Sparc_asm.Fcmpd (rs1, rs2) ->
-    let a = get_double m rs1 and b = get_double m rs2 in
-    m.fcc <- (if a = b then 0 else if a < b then 1 else 2));
+    let a = get_double s rs1 and b = get_double s rs2 in
+    s.fcc <- (if a = b then 0 else if a < b then 1 else 2));
   m.pc <- next;
   m.npc <- m.btarget
 
 (* ------------------------------------------------------------------ *)
-(* Superblock translation (see {!Vmachine.Block_cache}): compile a
-   straight-line decoded run into one closure per instruction, executed
-   by [exec_chain] without per-instruction dispatch.  Each closure
+(* Compiled closures for the engine's superblocks and regions: each one
    replicates its [step_inner] arm exactly — same arithmetic, same
    memory-access and window-shift order, same cycle surcharges — so a
-   block retires with the same architectural state and timing as the
-   interpreter.  Save/Restore stay block *body* instructions: their
+   compiled run retires with the same architectural state and timing as
+   the interpreter.  Save/Restore stay block *body* instructions: their
    window overflow/underflow checks raise before touching state, which
-   the fault fixup of [exec_chain] handles like any other trap. *)
+   the engine's fault fixup handles like any other trap. *)
 
 (* Compiled action for one *body* (non-control) instruction; [None]
    when the instruction terminates a block (Bicc/Fbfcc/Call/Jmpl,
    compiled via [term_of]).  Store closures test the block cache's
    dirty flag after writing and abort with [Block_cache.Retired]. *)
-let act_of m (insn : Sparc_asm.t) : (unit -> unit) option =
+let act_of (m : m) (insn : Sparc_asm.t) : (unit -> unit) option =
+  let s = m.st in
   match insn with
   | Sparc_asm.Nop -> Some (fun () -> ())
-  | Sparc_asm.Sethi (rd, imm22) -> Some (fun () -> set_reg m rd (imm22 lsl 10))
+  | Sparc_asm.Sethi (rd, imm22) -> Some (fun () -> set_reg s rd (imm22 lsl 10))
   | Sparc_asm.Alu (a, rd, rs1, ri) ->
     Some
       (match a with
-      | Sparc_asm.Add -> fun () -> set_reg m rd (get_reg m rs1 + ri_val m ri)
-      | Sparc_asm.Sub -> fun () -> set_reg m rd (get_reg m rs1 - ri_val m ri)
-      | Sparc_asm.And -> fun () -> set_reg m rd (get_reg m rs1 land ri_val m ri)
-      | Sparc_asm.Or -> fun () -> set_reg m rd (get_reg m rs1 lor ri_val m ri)
-      | Sparc_asm.Xor -> fun () -> set_reg m rd (get_reg m rs1 lxor ri_val m ri)
-      | Sparc_asm.Andn -> fun () -> set_reg m rd (get_reg m rs1 land lnot (ri_val m ri))
-      | Sparc_asm.Orn -> fun () -> set_reg m rd (get_reg m rs1 lor lnot (ri_val m ri))
-      | Sparc_asm.Xnor -> fun () -> set_reg m rd (lnot (get_reg m rs1 lxor ri_val m ri))
+      | Sparc_asm.Add -> fun () -> set_reg s rd (get_reg s rs1 + ri_val s ri)
+      | Sparc_asm.Sub -> fun () -> set_reg s rd (get_reg s rs1 - ri_val s ri)
+      | Sparc_asm.And -> fun () -> set_reg s rd (get_reg s rs1 land ri_val s ri)
+      | Sparc_asm.Or -> fun () -> set_reg s rd (get_reg s rs1 lor ri_val s ri)
+      | Sparc_asm.Xor -> fun () -> set_reg s rd (get_reg s rs1 lxor ri_val s ri)
+      | Sparc_asm.Andn -> fun () -> set_reg s rd (get_reg s rs1 land lnot (ri_val s ri))
+      | Sparc_asm.Orn -> fun () -> set_reg s rd (get_reg s rs1 lor lnot (ri_val s ri))
+      | Sparc_asm.Xnor -> fun () -> set_reg s rd (lnot (get_reg s rs1 lxor ri_val s ri))
       | Sparc_asm.Addx ->
-        fun () -> set_reg m rd (get_reg m rs1 + ri_val m ri + if m.icc_c then 1 else 0)
-      | Sparc_asm.Sll -> fun () -> set_reg m rd (get_reg m rs1 lsl (ri_val m ri land 31))
-      | Sparc_asm.Srl -> fun () -> set_reg m rd (u32 (get_reg m rs1) lsr (ri_val m ri land 31))
-      | Sparc_asm.Sra -> fun () -> set_reg m rd (get_reg m rs1 asr (ri_val m ri land 31))
+        fun () -> set_reg s rd (get_reg s rs1 + ri_val s ri + if s.icc_c then 1 else 0)
+      | Sparc_asm.Sll -> fun () -> set_reg s rd (get_reg s rs1 lsl (ri_val s ri land 31))
+      | Sparc_asm.Srl -> fun () -> set_reg s rd (u32 (get_reg s rs1) lsr (ri_val s ri land 31))
+      | Sparc_asm.Sra -> fun () -> set_reg s rd (get_reg s rs1 asr (ri_val s ri land 31))
       | Sparc_asm.Umul ->
         fun () ->
           m.cycles <- m.cycles + 18;
-          let x = get_reg m rs1 and y = ri_val m ri in
+          let x = get_reg s rs1 and y = ri_val s ri in
           let p = Int64.mul (Int64.of_int (u32 x)) (Int64.of_int (u32 y)) in
-          m.y <- Int64.to_int (Int64.shift_right_logical p 32) land 0xFFFFFFFF;
-          set_reg m rd (Int64.to_int (Int64.logand p 0xFFFFFFFFL))
+          s.y <- Int64.to_int (Int64.shift_right_logical p 32) land 0xFFFFFFFF;
+          set_reg s rd (Int64.to_int (Int64.logand p 0xFFFFFFFFL))
       | Sparc_asm.Smul ->
         fun () ->
           m.cycles <- m.cycles + 18;
-          let x = get_reg m rs1 and y = ri_val m ri in
+          let x = get_reg s rs1 and y = ri_val s ri in
           let p = Int64.mul (Int64.of_int x) (Int64.of_int y) in
-          m.y <- Int64.to_int (Int64.shift_right_logical p 32) land 0xFFFFFFFF;
-          set_reg m rd (Int64.to_int (Int64.logand p 0xFFFFFFFFL))
+          s.y <- Int64.to_int (Int64.shift_right_logical p 32) land 0xFFFFFFFF;
+          set_reg s rd (Int64.to_int (Int64.logand p 0xFFFFFFFFL))
       | Sparc_asm.Udiv ->
         fun () ->
           m.cycles <- m.cycles + 36;
-          let x = get_reg m rs1 and y = ri_val m ri in
+          let x = get_reg s rs1 and y = ri_val s ri in
           let dividend =
             Int64.logor
-              (Int64.shift_left (Int64.of_int (u32 m.y)) 32)
+              (Int64.shift_left (Int64.of_int (u32 s.y)) 32)
               (Int64.of_int (u32 x))
           in
           let dv = u32 y in
-          if dv = 0 then set_reg m rd 0
-          else set_reg m rd (Int64.to_int (Int64.div dividend (Int64.of_int dv)))
+          if dv = 0 then set_reg s rd 0
+          else set_reg s rd (Int64.to_int (Int64.div dividend (Int64.of_int dv)))
       | Sparc_asm.Sdiv ->
         fun () ->
           m.cycles <- m.cycles + 36;
-          let x = get_reg m rs1 and y = ri_val m ri in
+          let x = get_reg s rs1 and y = ri_val s ri in
           let dividend =
             Int64.logor
-              (Int64.shift_left (Int64.of_int (u32 m.y)) 32)
+              (Int64.shift_left (Int64.of_int (u32 s.y)) 32)
               (Int64.of_int (u32 x))
           in
-          if y = 0 then set_reg m rd 0
-          else set_reg m rd (Int64.to_int (Int64.div dividend (Int64.of_int y)))
+          if y = 0 then set_reg s rd 0
+          else set_reg s rd (Int64.to_int (Int64.div dividend (Int64.of_int y)))
       | Sparc_asm.Addcc ->
         fun () ->
-          let x = get_reg m rs1 and y = ri_val m ri in
+          let x = get_reg s rs1 and y = ri_val s ri in
           let r = x + y in
-          m.icc_z <- u32 r = 0;
-          m.icc_n <- r land 0x80000000 <> 0;
-          m.icc_v <- lnot (x lxor y) land (x lxor r) land 0x80000000 <> 0;
-          m.icc_c <- u32 r < u32 x;
-          set_reg m rd r
+          s.icc_z <- u32 r = 0;
+          s.icc_n <- r land 0x80000000 <> 0;
+          s.icc_v <- lnot (x lxor y) land (x lxor r) land 0x80000000 <> 0;
+          s.icc_c <- u32 r < u32 x;
+          set_reg s rd r
       | Sparc_asm.Subcc ->
         fun () ->
-          let x = get_reg m rs1 and y = ri_val m ri in
+          let x = get_reg s rs1 and y = ri_val s ri in
           let r = x - y in
-          set_icc_sub m x y r;
-          set_reg m rd r)
+          set_icc_sub s x y r;
+          set_reg s rd r)
   | Sparc_asm.Save (rd, rs1, ri) ->
     Some
       (fun () ->
-        if m.depth >= nwindows - 2 then raise (Machine_error "register window overflow");
-        let v = get_reg m rs1 + ri_val m ri in
-        m.cwp <- (m.cwp - 1 + nwindows) mod nwindows;
-        m.depth <- m.depth + 1;
-        set_reg m rd v)
+        if s.depth >= nwindows - 2 then raise (Machine_error "register window overflow");
+        let v = get_reg s rs1 + ri_val s ri in
+        s.cwp <- (s.cwp - 1 + nwindows) mod nwindows;
+        s.depth <- s.depth + 1;
+        set_reg s rd v)
   | Sparc_asm.Restore (rd, rs1, ri) ->
     Some
       (fun () ->
-        if m.depth <= 0 then raise (Machine_error "register window underflow");
-        let v = get_reg m rs1 + ri_val m ri in
-        m.cwp <- (m.cwp + 1) mod nwindows;
-        m.depth <- m.depth - 1;
-        set_reg m rd v)
-  | Sparc_asm.Rdy rd -> Some (fun () -> set_reg m rd m.y)
-  | Sparc_asm.Wry (rs1, ri) -> Some (fun () -> m.y <- u32 (get_reg m rs1 lxor ri_val m ri))
+        if s.depth <= 0 then raise (Machine_error "register window underflow");
+        let v = get_reg s rs1 + ri_val s ri in
+        s.cwp <- (s.cwp + 1) mod nwindows;
+        s.depth <- s.depth - 1;
+        set_reg s rd v)
+  | Sparc_asm.Rdy rd -> Some (fun () -> set_reg s rd s.y)
+  | Sparc_asm.Wry (rs1, ri) -> Some (fun () -> s.y <- u32 (get_reg s rs1 lxor ri_val s ri))
   | Sparc_asm.Ld (rd, rs1, ri) ->
     Some
       (fun () ->
-        let a = u32 (get_reg m rs1 + ri_val m ri) in
+        let a = u32 (get_reg s rs1 + ri_val s ri) in
         daccess m a;
-        set_reg m rd (Mem.read_u32 m.mem a))
+        set_reg s rd (Mem.read_u32 m.mem a))
   | Sparc_asm.Ldsb (rd, rs1, ri) ->
     Some
       (fun () ->
-        let a = u32 (get_reg m rs1 + ri_val m ri) in
+        let a = u32 (get_reg s rs1 + ri_val s ri) in
         daccess m a;
         let v = Mem.read_u8 m.mem a in
-        set_reg m rd (if v land 0x80 <> 0 then v - 0x100 else v))
+        set_reg s rd (if v land 0x80 <> 0 then v - 0x100 else v))
   | Sparc_asm.Ldub (rd, rs1, ri) ->
     Some
       (fun () ->
-        let a = u32 (get_reg m rs1 + ri_val m ri) in
+        let a = u32 (get_reg s rs1 + ri_val s ri) in
         daccess m a;
-        set_reg m rd (Mem.read_u8 m.mem a))
+        set_reg s rd (Mem.read_u8 m.mem a))
   | Sparc_asm.Ldsh (rd, rs1, ri) ->
     Some
       (fun () ->
-        let a = u32 (get_reg m rs1 + ri_val m ri) in
+        let a = u32 (get_reg s rs1 + ri_val s ri) in
         daccess m a;
         let v = Mem.read_u16 m.mem a in
-        set_reg m rd (if v land 0x8000 <> 0 then v - 0x10000 else v))
+        set_reg s rd (if v land 0x8000 <> 0 then v - 0x10000 else v))
   | Sparc_asm.Lduh (rd, rs1, ri) ->
     Some
       (fun () ->
-        let a = u32 (get_reg m rs1 + ri_val m ri) in
+        let a = u32 (get_reg s rs1 + ri_val s ri) in
         daccess m a;
-        set_reg m rd (Mem.read_u16 m.mem a))
+        set_reg s rd (Mem.read_u16 m.mem a))
   | Sparc_asm.St (rd, rs1, ri) ->
     Some
       (fun () ->
-        let a = u32 (get_reg m rs1 + ri_val m ri) in
+        let a = u32 (get_reg s rs1 + ri_val s ri) in
         waccess m a;
-        Mem.write_u32 m.mem a (u32 (get_reg m rd));
+        Mem.write_u32 m.mem a (u32 (get_reg s rd));
         if Block_cache.dirty m.bc then raise Block_cache.Retired)
   | Sparc_asm.Stb (rd, rs1, ri) ->
     Some
       (fun () ->
-        let a = u32 (get_reg m rs1 + ri_val m ri) in
+        let a = u32 (get_reg s rs1 + ri_val s ri) in
         waccess m a;
-        Mem.write_u8 m.mem a (get_reg m rd);
+        Mem.write_u8 m.mem a (get_reg s rd);
         if Block_cache.dirty m.bc then raise Block_cache.Retired)
   | Sparc_asm.Sth (rd, rs1, ri) ->
     Some
       (fun () ->
-        let a = u32 (get_reg m rs1 + ri_val m ri) in
+        let a = u32 (get_reg s rs1 + ri_val s ri) in
         waccess m a;
-        Mem.write_u16 m.mem a (get_reg m rd);
+        Mem.write_u16 m.mem a (get_reg s rd);
         if Block_cache.dirty m.bc then raise Block_cache.Retired)
   | Sparc_asm.Ldf (rd, rs1, ri) ->
     Some
       (fun () ->
-        let a = u32 (get_reg m rs1 + ri_val m ri) in
+        let a = u32 (get_reg s rs1 + ri_val s ri) in
         daccess m a;
-        m.fregs.(rd) <- Mem.read_u32 m.mem a)
+        s.fregs.(rd) <- Mem.read_u32 m.mem a)
   | Sparc_asm.Lddf (rd, rs1, ri) ->
     Some
       (fun () ->
-        let a = u32 (get_reg m rs1 + ri_val m ri) in
+        let a = u32 (get_reg s rs1 + ri_val s ri) in
         daccess m a;
-        m.fregs.(rd) <- Mem.read_u32 m.mem a;
-        m.fregs.(rd + 1) <- Mem.read_u32 m.mem (a + 4))
+        s.fregs.(rd) <- Mem.read_u32 m.mem a;
+        s.fregs.(rd + 1) <- Mem.read_u32 m.mem (a + 4))
   | Sparc_asm.Stf (rd, rs1, ri) ->
     Some
       (fun () ->
-        let a = u32 (get_reg m rs1 + ri_val m ri) in
+        let a = u32 (get_reg s rs1 + ri_val s ri) in
         waccess m a;
-        Mem.write_u32 m.mem a m.fregs.(rd);
+        Mem.write_u32 m.mem a s.fregs.(rd);
         if Block_cache.dirty m.bc then raise Block_cache.Retired)
   | Sparc_asm.Stdf (rd, rs1, ri) ->
     Some
       (fun () ->
-        let a = u32 (get_reg m rs1 + ri_val m ri) in
+        let a = u32 (get_reg s rs1 + ri_val s ri) in
         waccess m a;
-        Mem.write_u32 m.mem a m.fregs.(rd);
-        Mem.write_u32 m.mem (a + 4) m.fregs.(rd + 1);
+        Mem.write_u32 m.mem a s.fregs.(rd);
+        Mem.write_u32 m.mem (a + 4) s.fregs.(rd + 1);
         if Block_cache.dirty m.bc then raise Block_cache.Retired)
   | Sparc_asm.Fpop (p, rd, rs1, rs2) ->
     Some
@@ -596,62 +479,62 @@ let act_of m (insn : Sparc_asm.t) : (unit -> unit) option =
        | Fadds ->
          fun () ->
            m.cycles <- m.cycles + 1;
-           set_single m rd (get_single m rs1 +. get_single m rs2)
+           set_single s rd (get_single s rs1 +. get_single s rs2)
        | Faddd ->
          fun () ->
            m.cycles <- m.cycles + 1;
-           set_double m rd (get_double m rs1 +. get_double m rs2)
+           set_double s rd (get_double s rs1 +. get_double s rs2)
        | Fsubs ->
          fun () ->
            m.cycles <- m.cycles + 1;
-           set_single m rd (get_single m rs1 -. get_single m rs2)
+           set_single s rd (get_single s rs1 -. get_single s rs2)
        | Fsubd ->
          fun () ->
            m.cycles <- m.cycles + 1;
-           set_double m rd (get_double m rs1 -. get_double m rs2)
+           set_double s rd (get_double s rs1 -. get_double s rs2)
        | Fmuls ->
          fun () ->
            m.cycles <- m.cycles + 3;
-           set_single m rd (get_single m rs1 *. get_single m rs2)
+           set_single s rd (get_single s rs1 *. get_single s rs2)
        | Fmuld ->
          fun () ->
            m.cycles <- m.cycles + 4;
-           set_double m rd (get_double m rs1 *. get_double m rs2)
+           set_double s rd (get_double s rs1 *. get_double s rs2)
        | Fdivs ->
          fun () ->
            m.cycles <- m.cycles + 12;
-           set_single m rd (get_single m rs1 /. get_single m rs2)
+           set_single s rd (get_single s rs1 /. get_single s rs2)
        | Fdivd ->
          fun () ->
            m.cycles <- m.cycles + 18;
-           set_double m rd (get_double m rs1 /. get_double m rs2)
-       | Fmovs -> fun () -> m.fregs.(rd) <- m.fregs.(rs2)
-       | Fnegs -> fun () -> set_single m rd (-.get_single m rs2)
-       | Fabss -> fun () -> set_single m rd (abs_float (get_single m rs2))
+           set_double s rd (get_double s rs1 /. get_double s rs2)
+       | Fmovs -> fun () -> s.fregs.(rd) <- s.fregs.(rs2)
+       | Fnegs -> fun () -> set_single s rd (-.get_single s rs2)
+       | Fabss -> fun () -> set_single s rd (abs_float (get_single s rs2))
        | Fsqrts ->
          fun () ->
            m.cycles <- m.cycles + 13;
-           set_single m rd (sqrt (get_single m rs2))
+           set_single s rd (sqrt (get_single s rs2))
        | Fsqrtd ->
          fun () ->
            m.cycles <- m.cycles + 25;
-           set_double m rd (sqrt (get_double m rs2))
-       | Fitos -> fun () -> set_single m rd (float_of_int (sext32 m.fregs.(rs2)))
-       | Fitod -> fun () -> set_double m rd (float_of_int (sext32 m.fregs.(rs2)))
-       | Fstoi -> fun () -> m.fregs.(rd) <- u32 (int_of_float (Float.trunc (get_single m rs2)))
-       | Fdtoi -> fun () -> m.fregs.(rd) <- u32 (int_of_float (Float.trunc (get_double m rs2)))
-       | Fstod -> fun () -> set_double m rd (get_single m rs2)
-       | Fdtos -> fun () -> set_single m rd (get_double m rs2))
+           set_double s rd (sqrt (get_double s rs2))
+       | Fitos -> fun () -> set_single s rd (float_of_int (sext32 s.fregs.(rs2)))
+       | Fitod -> fun () -> set_double s rd (float_of_int (sext32 s.fregs.(rs2)))
+       | Fstoi -> fun () -> s.fregs.(rd) <- u32 (int_of_float (Float.trunc (get_single s rs2)))
+       | Fdtoi -> fun () -> s.fregs.(rd) <- u32 (int_of_float (Float.trunc (get_double s rs2)))
+       | Fstod -> fun () -> set_double s rd (get_single s rs2)
+       | Fdtos -> fun () -> set_single s rd (get_double s rs2))
   | Sparc_asm.Fcmps (rs1, rs2) ->
     Some
       (fun () ->
-        let a = get_single m rs1 and b = get_single m rs2 in
-        m.fcc <- (if a = b then 0 else if a < b then 1 else 2))
+        let a = get_single s rs1 and b = get_single s rs2 in
+        s.fcc <- (if a = b then 0 else if a < b then 1 else 2))
   | Sparc_asm.Fcmpd (rs1, rs2) ->
     Some
       (fun () ->
-        let a = get_double m rs1 and b = get_double m rs2 in
-        m.fcc <- (if a = b then 0 else if a < b then 1 else 2))
+        let a = get_double s rs1 and b = get_double s rs2 in
+        s.fcc <- (if a = b then 0 else if a < b then 1 else 2))
   | Sparc_asm.Bicc _ | Sparc_asm.Fbfcc _ | Sparc_asm.Call _ | Sparc_asm.Jmpl _ -> None
 
 (* Compiled closure for a block *terminator* at address [pc]: leaves
@@ -659,7 +542,8 @@ let act_of m (insn : Sparc_asm.t) : (unit -> unit) option =
    an untaken branch) — exactly the interpreter's btarget discipline.
    The delay-slot action runs next and the block commit moves btarget
    into pc. *)
-let term_of m pc (insn : Sparc_asm.t) : (unit -> unit) option =
+let term_of (m : m) pc (insn : Sparc_asm.t) : (unit -> unit) option =
+  let s = m.st in
   let ft = pc + 8 in
   match insn with
   | Sparc_asm.Bicc (c, disp) ->
@@ -669,54 +553,48 @@ let term_of m pc (insn : Sparc_asm.t) : (unit -> unit) option =
        match c with
        | BA -> fun () -> m.btarget <- tk
        | BN -> fun () -> m.btarget <- ft
-       | BNE -> fun () -> m.btarget <- (if not m.icc_z then tk else ft)
-       | BE -> fun () -> m.btarget <- (if m.icc_z then tk else ft)
-       | BG -> fun () -> m.btarget <- (if not (m.icc_z || m.icc_n <> m.icc_v) then tk else ft)
-       | BLE -> fun () -> m.btarget <- (if m.icc_z || m.icc_n <> m.icc_v then tk else ft)
-       | BGE -> fun () -> m.btarget <- (if m.icc_n = m.icc_v then tk else ft)
-       | BL -> fun () -> m.btarget <- (if m.icc_n <> m.icc_v then tk else ft)
-       | BGU -> fun () -> m.btarget <- (if (not m.icc_c) && not m.icc_z then tk else ft)
-       | BLEU -> fun () -> m.btarget <- (if m.icc_c || m.icc_z then tk else ft)
-       | BCC -> fun () -> m.btarget <- (if not m.icc_c then tk else ft)
-       | BCS -> fun () -> m.btarget <- (if m.icc_c then tk else ft)
-       | BPOS -> fun () -> m.btarget <- (if not m.icc_n then tk else ft)
-       | BNEG -> fun () -> m.btarget <- (if m.icc_n then tk else ft))
+       | BNE -> fun () -> m.btarget <- (if not s.icc_z then tk else ft)
+       | BE -> fun () -> m.btarget <- (if s.icc_z then tk else ft)
+       | BG -> fun () -> m.btarget <- (if not (s.icc_z || s.icc_n <> s.icc_v) then tk else ft)
+       | BLE -> fun () -> m.btarget <- (if s.icc_z || s.icc_n <> s.icc_v then tk else ft)
+       | BGE -> fun () -> m.btarget <- (if s.icc_n = s.icc_v then tk else ft)
+       | BL -> fun () -> m.btarget <- (if s.icc_n <> s.icc_v then tk else ft)
+       | BGU -> fun () -> m.btarget <- (if (not s.icc_c) && not s.icc_z then tk else ft)
+       | BLEU -> fun () -> m.btarget <- (if s.icc_c || s.icc_z then tk else ft)
+       | BCC -> fun () -> m.btarget <- (if not s.icc_c then tk else ft)
+       | BCS -> fun () -> m.btarget <- (if s.icc_c then tk else ft)
+       | BPOS -> fun () -> m.btarget <- (if not s.icc_n then tk else ft)
+       | BNEG -> fun () -> m.btarget <- (if s.icc_n then tk else ft))
   | Sparc_asm.Fbfcc (c, disp) ->
     let tk = pc + (4 * disp) in
     Some
       (let open Sparc_asm in
        match c with
-       | FBE -> fun () -> m.btarget <- (if m.fcc = 0 then tk else ft)
-       | FBNE -> fun () -> m.btarget <- (if m.fcc <> 0 then tk else ft)
-       | FBL -> fun () -> m.btarget <- (if m.fcc = 1 then tk else ft)
-       | FBG -> fun () -> m.btarget <- (if m.fcc = 2 then tk else ft)
-       | FBLE -> fun () -> m.btarget <- (if m.fcc = 0 || m.fcc = 1 then tk else ft)
-       | FBGE -> fun () -> m.btarget <- (if m.fcc = 0 || m.fcc = 2 then tk else ft))
+       | FBE -> fun () -> m.btarget <- (if s.fcc = 0 then tk else ft)
+       | FBNE -> fun () -> m.btarget <- (if s.fcc <> 0 then tk else ft)
+       | FBL -> fun () -> m.btarget <- (if s.fcc = 1 then tk else ft)
+       | FBG -> fun () -> m.btarget <- (if s.fcc = 2 then tk else ft)
+       | FBLE -> fun () -> m.btarget <- (if s.fcc = 0 || s.fcc = 1 then tk else ft)
+       | FBGE -> fun () -> m.btarget <- (if s.fcc = 0 || s.fcc = 2 then tk else ft))
   | Sparc_asm.Call disp ->
     let tk = pc + (4 * disp) in
     Some
       (fun () ->
-        set_reg m 15 pc;
+        set_reg s 15 pc;
         m.btarget <- tk)
   | Sparc_asm.Jmpl (rd, rs1, ri) ->
     Some
       (fun () ->
-        set_reg m rd pc;
-        m.btarget <- u32 (get_reg m rs1 + ri_val m ri))
+        set_reg s rd pc;
+        m.btarget <- u32 (get_reg s rs1 + ri_val s ri))
   | _ -> None
-
-(* instructions allowed before the terminator + delay-slot pair within
-   the [Block_cache.max_insns] cap *)
-let max_body = Block_cache.max_insns - 2
 
 (* Only closures for these instructions can raise: a memory fault from
    a load/store, a window spill/fill from Save/Restore, or
    [Block_cache.Retired] from a store that invalidated a resident
    block.  Everything else [act_of] compiles is pure OCaml arithmetic
    that cannot raise (the division arms are zero-guarded), and SPARC
-   terminators only write [m.btarget], so the per-instruction
-   [m.blk_i] bookkeeping is baked in at compile time for can-raise
-   instructions alone and elided everywhere else. *)
+   terminators only write [m.btarget]. *)
 let act_raises (insn : Sparc_asm.t) : bool =
   match insn with
   | Sparc_asm.Save _ | Sparc_asm.Restore _
@@ -725,623 +603,52 @@ let act_raises (insn : Sparc_asm.t) : bool =
   | Sparc_asm.Ldf _ | Sparc_asm.Lddf _ | Sparc_asm.Stf _ | Sparc_asm.Stdf _ -> true
   | _ -> false
 
-(* Fuse a list of action closures into one, sequencing by direct calls
-   in chunks of four: one chunk-closure entry per four instructions
-   instead of a per-instruction array load and loop-counter update.
-   Exceptions propagate out of the fused closure unchanged. *)
-let rec seq (cs : (unit -> unit) list) : unit -> unit =
-  match cs with
-  | [] -> fun () -> ()
-  | [ a ] -> a
-  | [ a; b ] -> fun () -> a (); b ()
-  | [ a; b; c ] -> fun () -> a (); b (); c ()
-  | [ a; b; c; d ] -> fun () -> a (); b (); c (); d ()
-  | a :: b :: c :: d :: rest ->
-    let r = seq rest in
-    fun () -> a (); b (); c (); d (); r ()
-
-(* Scan the straight-line run entered at [entry]: body instructions up
-   to the first control transfer (collected together with its delay
-   slot), a non-compilable instruction (an illegal word, unmapped
-   memory — left for the interpreter to trap on), or the length cap.
-   Returns the per-instruction (can-raise, action) list and whether it
-   ends in a terminator + delay-slot pair; [None] if not even one
-   instruction compiles.  Shared by the superblock and region
-   compilers. *)
-let scan_run m entry =
-  let fetch_opt pc =
-    match fetch m pc with
-    | i -> Some i
-    | exception (Machine_error _ | Mem.Fault _) -> None
-  in
-  let body = ref [] and nbody = ref 0 in
-  let fin = ref None in
-  let stop = ref false in
-  let pc = ref entry in
-  while (not !stop) && !nbody < max_body do
-    match fetch_opt !pc with
-    | None -> stop := true
-    | Some insn -> (
-      match act_of m insn with
-      | Some a ->
-        body := (act_raises insn, a) :: !body;
-        incr nbody;
-        pc := !pc + 4
-      | None -> (
-        stop := true;
-        match term_of m !pc insn with
-        | None -> ()
-        | Some t -> (
-          (* the delay slot must itself be a plain body instruction *)
-          match fetch_opt (!pc + 4) with
-          | None -> ()
-          | Some d -> (
-            match act_of m d with
-            | None -> ()
-            | Some da -> fin := Some (t, act_raises d, da)))))
-  done;
-  let tail, has_delay =
-    match !fin with
-    | Some (t, dr, da) -> ([ (false, t); (dr, da) ], true)
-    | None -> ([], false)
-  in
-  match List.rev_append !body tail with
-  | [] -> None
-  | all -> Some (all, has_delay)
-
-(* Compile the straight-line run entered at [entry] into a superblock.
-
-   Timing is baked into the closures: the instruction that starts a new
-   icache line carries the registerized probe (a later same-line fetch
-   is a guaranteed hit — a block spans at most 256 consecutive bytes,
-   far below the icache size, so it cannot evict its own lines, and a
-   guaranteed hit is a no-op under bulk hit reconciliation).  Capturing
-   the tag array here is safe because [Cache.flush] clears it in
-   place. *)
-let compile_block m entry =
-  let tags, shift, mask = Cache.probe m.icache in
-  match scan_run m entry with
-  | None -> None
-  | Some (all, has_delay) ->
-    let n = List.length all in
-    let wrap i (raises, act) =
-      let addr = entry + (4 * i) in
-      let line = addr lsr shift in
-      let boundary = i = 0 || line <> (addr - 4) lsr shift in
-      if boundary then begin
-        let idx = line land mask in
-        if raises then
-          fun () ->
-            m.blk_i <- i;
-            if Array.unsafe_get tags idx <> line then begin
-              let p = Cache.access_uncounted m.icache addr in
-              if p <> 0 then m.cycles <- m.cycles + p
-            end;
-            act ()
-        else
-          fun () ->
-            if Array.unsafe_get tags idx <> line then begin
-              let p = Cache.access_uncounted m.icache addr in
-              if p <> 0 then m.cycles <- m.cycles + p
-            end;
-            act ()
-      end
-      else if raises then
-        fun () ->
-          m.blk_i <- i;
-          act ()
-      else act
-    in
-    (* traced runs re-bind [wrap] so each closure records its issue
-       before acting (issue order = the interpreter's retire stream);
-       untraced compilation keeps the exact closures above *)
-    let wrap =
-      if not (Trace.is_enabled m.tr) then wrap
-      else
-        fun i ra ->
-          let f = wrap i ra in
-          let addr = entry + (4 * i) in
-          fun () ->
-            Trace.retire m.tr addr;
-            f ()
-    in
-    (* the commit is one more cannot-raise action fused onto the end:
-       if anything earlier raises, it never runs, and the fixup
-       handlers in [exec_chain] account the partial run instead *)
-    let commit =
-      if has_delay then
-        fun () ->
-          m.insns <- m.insns + n;
-          let t = m.btarget in
-          m.pc <- t;
-          m.npc <- t + 4
-      else begin
-        let ft = entry + (4 * n) in
-        fun () ->
-          m.insns <- m.insns + n;
-          m.pc <- ft;
-          m.npc <- ft + 4
-      end
-    in
-    Some { entry; n; run = seq (List.mapi wrap all @ [ commit ]); has_delay }
-
-(* Execute [b] (preconditions: [b.n <= fuel], [m.npc = b.entry + 4]),
-   then chain directly into the next resident block while fuel lasts.
-   Returns the remaining fuel; the three exits (clean commit, [Retired]
-   store-abort, fault) leave exactly the state the interpreter would —
-   see the MIPS twin of this function for the case analysis. *)
-let rec exec_chain m (b : block) fuel =
-  Trace.mark m.tr Trace.Block_enter b.entry;
-  if Sim_probe.enabled m.probe then begin
-    Sim_probe.block_exec m.probe ~entry:b.entry;
-    Block_cache.note_exec m.bc b.entry
-  end;
-  Block_cache.begin_block m.bc;
-  match b.run () with
-  | () ->
-    let fuel = fuel - b.n in
-    if m.pc = halt_addr then fuel
-    else if m.pc = b.entry && b.n <= fuel then
-      (* self-loop fast path: a clean exit means no resident block was
-         invalidated, so [b] is certainly still cached for [entry] *)
-      exec_chain m b fuel
-    else (
-      match Block_cache.find m.bc m.pc with
-      | Some nb when nb.n <= fuel -> exec_chain m nb fuel
-      | _ -> fuel)
-  | exception Block_cache.Retired ->
-    let i = m.blk_i in
-    m.insns <- m.insns + i + 1;
-    Sim_probe.abort m.probe ~entry:b.entry ~i;
-    if b.has_delay && i = b.n - 1 then begin
-      let t = m.btarget in
-      m.pc <- t;
-      m.npc <- t + 4
-    end
-    else begin
-      let a = b.entry + (4 * i) in
-      m.pc <- a + 4;
-      m.npc <- a + 8
-    end;
-    fuel - (i + 1)
-  | exception e ->
-    let i = m.blk_i in
-    m.insns <- m.insns + i + 1;
-    let a = b.entry + (4 * i) in
-    m.pc <- a;
-    m.npc <- (if b.has_delay && i = b.n - 1 then m.btarget else a + 4);
-    raise e
-
-(* ------------------------------------------------------------------ *)
-(* Tier-3 regions: identical machinery to the MIPS twin (SPARC shares
-   the delay-slot/branch-scratch block shape), with the shared
-   commentary living there and in {!Vmachine.Region_cache}. *)
-
-let compile_region m entry =
-  let tags, shift, mask = Cache.probe m.icache in
-  let rec collect pc first_len acc nblocks =
-    match scan_run m pc with
-    | None -> List.rev acc
-    | Some (all, has_delay) ->
-      let n = List.length all in
-      let acc = (pc, all, has_delay, n) :: acc in
-      let nblocks = nblocks + 1 in
-      let succ =
-        if has_delay then Region_cache.dominant_succ m.rc pc
-        else Some (pc + (4 * n))
-      in
-      (match succ with
-      | Some s when s land 3 = 0 && s > 0 ->
-        if s = entry then begin
-          let fl = match first_len with None -> nblocks | Some f -> f in
-          if
-            nblocks + fl <= Region_cache.max_blocks
-            && nblocks < Region_cache.max_unroll * fl
-          then collect s (Some fl) acc nblocks
-          else List.rev acc
-        end
-        else if nblocks < Region_cache.max_blocks then collect s first_len acc nblocks
-        else List.rev acc
-      | _ -> List.rev acc)
-  in
-  match collect entry None [] 0 with
-  | [] | [ _ ] -> None (* a single block gains nothing over tier 2 *)
-  | blks ->
-    let blks = Array.of_list blks in
-    let nb = Array.length blks in
-    let r_n = Array.fold_left (fun a (_, _, _, n) -> a + n) 0 blks in
-    let spans = Array.map (fun (p, _, _, n) -> (p, 4 * n)) blks in
-    let addrs = Array.make r_n 0 in
-    let delay = Array.make r_n false in
-    let traced = Trace.is_enabled m.tr in
-    (* Unconditional direct transfers (ba, call) pin btarget
-       statically: a guard matching the trace successor can never
-       fire and is omitted (see the MIPS twin for the rationale). *)
-    let static_jump_target p n =
-      let tpc = p + (4 * (n - 2)) in
-      match fetch m tpc with
-      | Sparc_asm.Bicc (Sparc_asm.BA, disp) | Sparc_asm.Call disp ->
-        Some (tpc + (4 * disp))
-      | _ -> None
-      | exception (Machine_error _ | Mem.Fault _) -> None
-    in
-    (* [elide] drops delay-slot nops from the fast pass — they retire
-       nothing architectural and the fast pass neither probes nor
-       traces nor counts per-insn (see the MIPS twin). *)
-    let probed = ref [] and fastc = ref [] in
-    let push_insn i addr raises act boundary elide =
-      let line = addr lsr shift in
-      let idx = line land mask in
-      let pr =
-        if boundary then
-          if raises then
-            fun () ->
-              m.blk_i <- i;
-              if Array.unsafe_get tags idx <> line then begin
-                let p = Cache.access_uncounted m.icache addr in
-                if p <> 0 then m.cycles <- m.cycles + p
-              end;
-              act ()
-          else
-            fun () ->
-              if Array.unsafe_get tags idx <> line then begin
-                let p = Cache.access_uncounted m.icache addr in
-                if p <> 0 then m.cycles <- m.cycles + p
-              end;
-              act ()
-        else if raises then
-          fun () ->
-            m.blk_i <- i;
-            act ()
-        else act
-      in
-      let fa =
-        if raises then
-          fun () ->
-            m.blk_i <- i;
-            act ()
-        else act
-      in
-      let pr, fa =
-        if not traced then (pr, fa)
-        else
-          ( (fun () -> Trace.retire m.tr addr; pr ()),
-            fun () -> Trace.retire m.tr addr; fa () )
-      in
-      probed := pr :: !probed;
-      if not elide then fastc := fa :: !fastc
-    in
-    let k = ref 0 in
-    let prev_line = ref min_int in
-    Array.iteri
-      (fun bi (p, all, has_delay, n) ->
-        List.iteri
-          (fun j (raises, act) ->
-            let i = !k in
-            let addr = p + (4 * j) in
-            addrs.(i) <- addr;
-            if has_delay && j = n - 1 then delay.(i) <- true;
-            let line = addr lsr shift in
-            let elide =
-              (not traced) && (not raises)
-              && (match fetch m addr with
-                 | Sparc_asm.Nop -> true
-                 | _ -> false
-                 | exception (Machine_error _ | Mem.Fault _) -> false)
-            in
-            push_insn i addr raises act (line <> !prev_line) elide;
-            prev_line := line;
-            incr k)
-          all;
-        if bi < nb - 1 && has_delay then begin
-          let expected = (fun (p, _, _, _) -> p) blks.(bi + 1) in
-          match static_jump_target p n with
-          | Some t when t = expected -> () (* guard provably never fires *)
-          | _ ->
-            let kk = !k in
-            let g () =
-              if m.btarget <> expected then raise (Region_cache.Side_exit kk)
-            in
-            probed := g :: !probed;
-            fastc := g :: !fastc
-        end)
-      blks;
-    let commit =
-      let p_last, _, last_delay, n_last = blks.(nb - 1) in
-      if last_delay then
-        fun () ->
-          m.insns <- m.insns + r_n;
-          let t = m.btarget in
-          m.pc <- t;
-          m.npc <- t + 4
-      else begin
-        let ft = p_last + (4 * n_last) in
-        fun () ->
-          m.insns <- m.insns + r_n;
-          m.pc <- ft;
-          m.npc <- ft + 4
-      end
-    in
-    let r_run = seq (List.rev (commit :: !probed)) in
-    (* fast-pass tail: deferred commit via [Loop_exit] (see the MIPS
-       twin for the full commentary) *)
-    let fast_tail =
-      let _, _, last_delay, _ = blks.(nb - 1) in
-      if last_delay then
-        (fun () ->
-          m.insns <- m.insns + r_n;
-          if m.btarget <> entry then raise Region_cache.Loop_exit)
-      else commit
-    in
-    let lines =
-      List.sort_uniq compare (Array.to_list (Array.map (fun a -> a lsr shift) addrs))
-    in
-    let fast_ok =
-      List.length (List.sort_uniq compare (List.map (fun l -> l land mask) lines))
-      = List.length lines
-    in
-    let r_fast = if fast_ok then seq (List.rev (fast_tail :: !fastc)) else r_run in
-    Some { r_entry = entry; r_n; r_spans = spans; r_run; r_fast; r_addrs = addrs;
-           r_delay = delay }
-
-(* latency-instrumented entry points: the stopwatch brackets the whole
-   scan/trace-follow + closure compile + cache insert, feeding the
-   bc.compile_ns / rc.promote_ns distributions (no clock read when the
-   sink is disabled) *)
-let compile_block_timed m entry =
-  let t0 = Block_cache.compile_start m.bc in
-  let r = compile_block m entry in
-  Block_cache.compile_done m.bc t0;
-  r
-
-let promote m entry =
-  let t0 = Region_cache.promote_start m.rc in
-  (match compile_region m entry with
-  | Some r -> Region_cache.set m.rc entry ~insns:r.r_n r
-  | None -> Region_cache.mark_unpromotable m.rc entry);
-  Region_cache.promote_done m.rc t0
-
-let exec_region m (r : region) fuel0 =
-  Trace.mark m.tr Trace.Block_enter r.r_entry;
-  if Sim_probe.enabled m.probe then Sim_probe.region_exec m.probe ~entry:r.r_entry;
-  Block_cache.begin_block m.bc;
-  let fuel = ref fuel0 in
-  match
-    r.r_run ();
-    fuel := !fuel - r.r_n;
-    let entry = r.r_entry and rn = r.r_n and fast = r.r_fast in
-    while m.pc = entry && rn <= !fuel do
-      fast ();
-      fuel := !fuel - rn
-    done
-  with
-  | () -> !fuel
-  | exception Region_cache.Loop_exit ->
-    (* the raising fast pass ran to completion and credited itself;
-       perform its deferred commit *)
-    let t = m.btarget in
-    m.pc <- t;
-    m.npc <- t + 4;
-    !fuel - r.r_n
-  | exception Region_cache.Side_exit k ->
-    m.insns <- m.insns + k;
-    Sim_probe.side_exit m.probe ~entry:r.r_entry ~i:k;
-    let t = m.btarget in
-    m.pc <- t;
-    m.npc <- t + 4;
-    !fuel - k
-  | exception Block_cache.Retired ->
-    let i = m.blk_i in
-    m.insns <- m.insns + i + 1;
-    Sim_probe.abort m.probe ~entry:r.r_entry ~i;
-    if r.r_delay.(i) then begin
-      let t = m.btarget in
-      m.pc <- t;
-      m.npc <- t + 4
-    end
-    else begin
-      let a = r.r_addrs.(i) in
-      m.pc <- a + 4;
-      m.npc <- a + 8
-    end;
-    !fuel - (i + 1)
-  | exception e ->
-    let i = m.blk_i in
-    m.insns <- m.insns + i + 1;
-    let a = r.r_addrs.(i) in
-    m.pc <- a;
-    m.npc <- (if r.r_delay.(i) then m.btarget else a + 4);
-    raise e
-
-(* [exec_chain] for regions mode: identical block chaining plus the
-   tier-3 hooks — per-dispatch hotness counting (promoting on the
-   threshold crossing), successor-edge profiling after each clean
-   commit, and chaining into a resident region when one exists at the
-   next pc. *)
-let rec exec_chain_r m (b : block) fuel =
-  Trace.mark m.tr Trace.Block_enter b.entry;
-  if Sim_probe.enabled m.probe then begin
-    Sim_probe.block_exec m.probe ~entry:b.entry;
-    Block_cache.note_exec m.bc b.entry
-  end;
-  if Region_cache.note_dispatch m.rc b.entry then promote m b.entry;
-  Block_cache.begin_block m.bc;
-  match b.run () with
-  | () ->
-    let fuel = fuel - b.n in
-    if m.pc = halt_addr then fuel
-    else begin
-      Region_cache.note_succ m.rc b.entry m.pc;
-      match Region_cache.find m.rc m.pc with
-      | Some r when r.r_n <= fuel -> exec_region m r fuel
-      | _ ->
-        if m.pc = b.entry && b.n <= fuel then exec_chain_r m b fuel
-        else (
-          match Block_cache.find m.bc m.pc with
-          | Some nb when nb.n <= fuel -> exec_chain_r m nb fuel
-          | _ -> fuel)
-    end
-  | exception Block_cache.Retired ->
-    let i = m.blk_i in
-    m.insns <- m.insns + i + 1;
-    Sim_probe.abort m.probe ~entry:b.entry ~i;
-    if b.has_delay && i = b.n - 1 then begin
-      let t = m.btarget in
-      m.pc <- t;
-      m.npc <- t + 4
-    end
-    else begin
-      let a = b.entry + (4 * i) in
-      m.pc <- a + 4;
-      m.npc <- a + 8
-    end;
-    fuel - (i + 1)
-  | exception e ->
-    let i = m.blk_i in
-    m.insns <- m.insns + i + 1;
-    let a = b.entry + (4 * i) in
-    m.pc <- a;
-    m.npc <- (if b.has_delay && i = b.n - 1 then m.btarget else a + 4);
-    raise e
-
-let default_fuel = 200_000_000
-
-(* Tight tail-recursive loop: the fuel check is a register countdown
-   rather than a per-step ref increment/compare. *)
-(* single-step with exact cycle accounting (the public interface) *)
-let step m =
-  let mi0 = Cache.misses m.icache in
-  (let p = Cache.access_uncounted m.icache m.pc in
-   if p <> 0 then m.cycles <- m.cycles + p);
-  Trace.retire m.tr m.pc;
-  step_inner m m.pc;
-  m.cycles <- m.cycles + 1;
-  Cache.add_hits m.icache (1 - (Cache.misses m.icache - mi0))
-
-(* [step_inner] defers the 1-cycle-per-instruction component of the
-   accounting to its caller; [run] adds it in bulk at exit from the
-   instruction-count delta, so the hot loop carries one counter update
-   less per step.  Totals are exact whenever [run] returns or raises. *)
-(* The icache tag probe is inlined here with its geometry held in
-   parameters (registers), falling back to the full model only on a
-   miss; [run] reconciles the hit counter at exit from the retired-
-   instruction delta, since a fetch loop performs exactly one icache
-   access per retired instruction. *)
 let rec run_go m tags shift mask fuel =
-  let pc = m.pc in
-  if pc <> halt_addr then begin
-    if fuel = 0 then raise (Machine_error "out of fuel (infinite loop?)");
-    let line = pc lsr shift in
-    if Array.unsafe_get tags (line land mask) <> line then
-      (let p = Cache.access_uncounted m.icache pc in
-       if p <> 0 then m.cycles <- m.cycles + p);
-    Trace.retire m.tr pc;
-    step_inner m pc;
+  if interp_ready m tags shift mask fuel then begin
+    step_inner m;
     run_go m tags shift mask (fuel - 1)
   end
 
-(* one interpreted instruction inside the block-dispatch loop: the
-   registerized icache probe of [run_go], then [step_inner] *)
-let[@inline] step_one m tags shift mask =
-  let pc = m.pc in
-  let line = pc lsr shift in
-  if Array.unsafe_get tags (line land mask) <> line then
-    (let p = Cache.access_uncounted m.icache pc in
-     if p <> 0 then m.cycles <- m.cycles + p);
-  Trace.retire m.tr pc;
-  step_inner m pc
+include Engine.Make (struct
+  type insn = Sparc_asm.t
+  type nonrec state = state
 
-(* Block-dispatch run loop: resident block -> [exec_chain]; no block
-   yet -> compile, cache, retry; uncompilable entry / insufficient fuel
-   for a whole block / delay-slot entry (npc off the straight line,
-   e.g. after a public [step]) -> one interpreted instruction. *)
-let rec run_blocks_go m tags shift mask fuel =
-  let pc = m.pc in
-  if pc <> halt_addr then begin
-    if fuel = 0 then raise (Machine_error "out of fuel (infinite loop?)");
-    if m.npc = pc + 4 then (
-      match Block_cache.find m.bc pc with
-      | Some b when b.n <= fuel ->
-        let fuel = exec_chain m b fuel in
-        Sim_probe.chain_flush m.probe;
-        run_blocks_go m tags shift mask fuel
-      | Some _ ->
-        step_one m tags shift mask;
-        run_blocks_go m tags shift mask (fuel - 1)
-      | None -> (
-        match compile_block_timed m pc with
-        | Some b ->
-          Block_cache.set m.bc pc b;
-          run_blocks_go m tags shift mask fuel
-        | None ->
-          step_one m tags shift mask;
-          run_blocks_go m tags shift mask (fuel - 1)))
-    else begin
-      step_one m tags shift mask;
-      run_blocks_go m tags shift mask (fuel - 1)
-    end
-  end
+  let name = "sparc"
+  let big_endian = true
+  let stack_reserve = 256
 
-(* Region-dispatch run loop: [run_blocks_go] with a region probe ahead
-   of the block probe, and chaining through [exec_chain_r] so hotness
-   and successor profiles accumulate.  Fuel discipline is unchanged —
-   a region pass only runs when it fits whole, and when it does not,
-   dispatch falls through to the identical block/interpreter ladder. *)
-let rec run_regions_go m tags shift mask fuel =
-  let pc = m.pc in
-  if pc <> halt_addr then begin
-    if fuel = 0 then raise (Machine_error "out of fuel (infinite loop?)");
-    if m.npc = pc + 4 then (
-      match Region_cache.find m.rc pc with
-      | Some r when r.r_n <= fuel ->
-        let fuel = exec_region m r fuel in
-        Sim_probe.chain_flush m.probe;
-        run_regions_go m tags shift mask fuel
-      | _ -> (
-        match Block_cache.find m.bc pc with
-        | Some b when b.n <= fuel ->
-          let fuel = exec_chain_r m b fuel in
-          Sim_probe.chain_flush m.probe;
-          run_regions_go m tags shift mask fuel
-        | Some _ ->
-          step_one m tags shift mask;
-          run_regions_go m tags shift mask (fuel - 1)
-        | None -> (
-          match compile_block_timed m pc with
-          | Some b ->
-            Block_cache.set m.bc pc b;
-            run_regions_go m tags shift mask fuel
-          | None ->
-            step_one m tags shift mask;
-            run_regions_go m tags shift mask (fuel - 1))))
-    else begin
-      step_one m tags shift mask;
-      run_regions_go m tags shift mask (fuel - 1)
-    end
-  end
+  let init_state () =
+    {
+      globals = Array.make 8 0;
+      wins = Array.make (nwindows * 16) 0;
+      cwp = 0;
+      depth = 0;
+      fregs = Array.make 32 0;
+      y = 0;
+      icc_n = false;
+      icc_z = false;
+      icc_v = false;
+      icc_c = false;
+      fcc = 0;
+    }
 
-let run ?(fuel = default_fuel) m =
-  let i0 = m.insns in
-  let mi0 = Cache.misses m.icache in
-  let t0 = Sim_probe.run_start m.probe in
-  let finish () =
-    let retired = m.insns - i0 in
-    m.cycles <- m.cycles + retired;
-    Cache.add_hits m.icache (retired - (Cache.misses m.icache - mi0));
-    Sim_probe.chain_flush m.probe;
-    Sim_probe.retired m.probe retired;
-    Sim_probe.run_done m.probe t0
-  in
-  let tags, shift, mask = Cache.probe m.icache in
-  (try
-     if m.regions then run_regions_go m tags shift mask fuel
-     else if m.blocks then run_blocks_go m tags shift mask fuel
-     else run_go m tags shift mask fuel
-   with e ->
-     finish ();
-     Sim_probe.fault m.probe ~pc:m.pc;
-     raise e);
-  finish ()
+  let init_mem _ = ()
+
+  let decode = decode
+  let delay_slot = true
+  let step_inner = step_inner
+  let run_go = run_go
+  let act_of = act_of
+  let term_of = term_of
+  let act_raises = act_raises
+  let term_raises = false
+
+  let jump_target pc : Sparc_asm.t -> int option = function
+    | Sparc_asm.Bicc (Sparc_asm.BA, disp) | Sparc_asm.Call disp -> Some (pc + (4 * disp))
+    | _ -> None
+
+  let is_nop : Sparc_asm.t -> bool = function Sparc_asm.Nop -> true | _ -> false
+end)
 
 (* ------------------------------------------------------------------ *)
 (* Harness: the VCODE SPARC convention — first six word-class args in
@@ -1352,54 +659,37 @@ type arg = Int of int | Single of float | Double of float
 
 let arg_bias = 92 (* window save (64) + hidden (4) + o0-o5 home (24) *)
 
-let place_args m ~sp args =
+let place_args (m : t) ~sp args =
   let slot = ref 0 in
   List.iter
     (fun a ->
       match a with
       | Int v ->
-        let s = !slot in
-        if s < 6 then set_reg m (8 + s) v
-        else Mem.write_u32 m.mem (sp + arg_bias + (4 * s)) (u32 v);
+        let k = !slot in
+        if k < 6 then set_reg m.st (8 + k) v
+        else Mem.write_u32 m.mem (sp + arg_bias + (4 * k)) (u32 v);
         incr slot
       | Single v ->
-        let s = !slot in
-        Mem.write_u32 m.mem (sp + arg_bias + (4 * s))
+        let k = !slot in
+        Mem.write_u32 m.mem (sp + arg_bias + (4 * k))
           (Int32.to_int (Int32.bits_of_float v) land 0xFFFFFFFF);
         incr slot
       | Double v ->
         if (!slot + (arg_bias / 4)) land 1 = 1 then incr slot;
-        let s = !slot in
-        Mem.write_u64 m.mem (sp + arg_bias + (4 * s)) (Int64.bits_of_float v);
-        slot := s + 2)
+        let k = !slot in
+        Mem.write_u64 m.mem (sp + arg_bias + (4 * k)) (Int64.bits_of_float v);
+        slot := k + 2)
     args
 
-let call ?fuel m ~entry args =
+let call ?fuel (m : t) ~entry args =
   let sp = m.stack_top land lnot 7 in
-  set_reg m 14 sp; (* %sp = %o6 *)
-  set_reg m 15 (halt_addr - 8); (* %o7: ret = jmpl %i7+8 *)
+  set_reg m.st 14 sp; (* %sp = %o6 *)
+  set_reg m.st 15 (halt_addr - 8); (* %o7: ret = jmpl %i7+8 *)
   place_args m ~sp args;
   m.pc <- entry;
   m.npc <- entry + 4;
   run ?fuel m
 
-let ret_int m = get_reg m 8 (* %o0 after the callee's restore *)
-let ret_single m = get_single m 0
-let ret_double m = get_double m 0
-
-let reset_stats m =
-  m.cycles <- 0;
-  m.insns <- 0;
-  Cache.reset_stats m.icache;
-  Cache.reset_stats m.dcache
-
-(* Models v_end's icache invalidation: drop both the timing caches and
-   every predecoded instruction.  (The predecode drop is belt-and-braces
-   — the write watcher already keeps it coherent — and costs nothing on
-   the simulated clock.) *)
-let flush_caches m =
-  Cache.flush m.icache;
-  Cache.flush m.dcache;
-  Decode_cache.clear m.pdc;
-  Block_cache.clear m.bc;
-  Region_cache.clear m.rc
+let ret_int (m : t) = get_reg m.st 8 (* %o0 after the callee's restore *)
+let ret_single (m : t) = get_single m.st 0
+let ret_double (m : t) = get_double m.st 0

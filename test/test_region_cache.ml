@@ -154,6 +154,51 @@ let test_mips_region_drop_raises_dirty () =
     (Vmachine.Block_cache.dirty m.S.bc);
   check Alcotest.int "no region survives the store" 0 (R.resident_count m.S.rc)
 
+(* The Smc_abort trace marker names the aborting store itself, even
+   when the region's constituent blocks are not adjacent: the aborting
+   pc comes from the region's address map, not from entry + 4*i. *)
+let test_mips_region_abort_pc () =
+  let module S = Vmips.Mips_sim in
+  let module A = Vmips.Mips_asm in
+  let head = 0x1100 and store = 0x1200 in
+  let program =
+    [ (0x1000, A.Addiu (2, 0, 0)); (* entry: acc <- 0                *)
+      (0x1004, A.J (head / 4)); (*        -> head                    *)
+      (0x1008, A.Nop);
+      (head, A.Addiu (2, 2, 1)); (* head: acc <- acc + 1            *)
+      (head + 4, A.Bgtz (4, (store - (head + 8)) / 4)); (* n > 0 -> store *)
+      (head + 8, A.Addiu (4, 4, -1)); (*   delay: n <- n - 1           *)
+      (head + 12, A.Jr 31); (*       out                            *)
+      (head + 16, A.Nop);
+      (store, A.Sw (6, 5, 0)); (* store: mem[a1] <- a2             *)
+      (store + 4, A.J (head / 4)); (*        -> head                    *)
+      (store + 8, A.Nop) ]
+  in
+  let tr = Vmachine.Trace.create ~capacity_pow2:16 () in
+  let m = S.create ~regions:true ~trace:tr Vmachine.Mconfig.test_config in
+  List.iter
+    (fun (a, insn) -> Vmachine.Mem.write_u32 m.S.mem a (A.encode insn))
+    program;
+  (* heat the loop with the store aimed at data *)
+  S.call m ~entry:0x1000 [ S.Int 200; S.Int 0x20000; S.Int 0 ];
+  check Alcotest.int "loop result" 201 (S.ret_int m);
+  (match R.find m.S.rc head with
+  | None -> Alcotest.fail "no region promoted at the loop head"
+  | Some r ->
+    check Alcotest.bool "the store block is a constituent" true
+      (Array.exists (fun (a, _) -> a = store) r.S.r_spans);
+    check Alcotest.bool "and is not adjacent to the head block" true
+      (Array.for_all (fun (a, len) -> a = store || a + len <> store) r.S.r_spans));
+  (* now aim the store at the resident entry block (rewriting the same
+     word): the first pass retires it and aborts at the store *)
+  S.call m ~entry:0x1000 [ S.Int 5; S.Int 0x1000; S.Int (A.encode (A.Addiu (2, 0, 0))) ];
+  check Alcotest.int "loop result after the abort" 6 (S.ret_int m);
+  let aborts =
+    Array.to_list (Vmachine.Trace.records tr)
+    |> List.filter_map (fun (k, pc) -> if k = Vmachine.Trace.Smc_abort then Some pc else None)
+  in
+  check Alcotest.(list int) "Smc_abort marks the store's own address" [ store ] aborts
+
 let () =
   Alcotest.run "region-cache"
     [
@@ -164,5 +209,7 @@ let () =
           Alcotest.test_case "unpin on overwrite" `Quick test_unpin_on_overwrite;
           Alcotest.test_case "region drop raises bc dirty (mips)" `Quick
             test_mips_region_drop_raises_dirty;
+          Alcotest.test_case "region abort marks the store pc (mips)" `Quick
+            test_mips_region_abort_pc;
         ] );
     ]

@@ -32,149 +32,56 @@ module type PORT = sig
   type sim
 
   val name : string
-  val run_table3 : Tel.t -> predecode:bool -> blocks:bool -> packets:int -> sim
+  val run_table3 : Tel.t -> predecode:bool -> blocks:bool -> regions:bool -> packets:int -> sim
   val insns : sim -> int
   val bc_stats : sim -> int * int
   val pdc_stats : sim -> int * int
 end
 
-module Make_port
-    (T : Target.S)
-    (S : sig
-      type t
-
-      val create : Tel.t -> predecode:bool -> blocks:bool -> t
-      val mem : t -> Vmachine.Mem.t
-      val call_ints : t -> entry:int -> int list -> int
-      val insns : t -> int
-      val bc_stats : t -> int * int
-      val pdc_stats : t -> int * int
-    end) : PORT = struct
+module Make_port (T : Target.S) (S : Workloads.SIM) : PORT = struct
   module DP = Dpf.Make (T)
 
   type sim = S.t
 
   let name = T.desc.Machdesc.name
-  let insns = S.insns
-  let bc_stats = S.bc_stats
-  let pdc_stats = S.pdc_stats
+  let insns (m : sim) = m.S.insns
+  let bc_stats (m : sim) = Vmachine.Block_cache.stats m.S.bc
+  let pdc_stats (m : sim) = Vmachine.Decode_cache.stats m.S.pdc
   let pkt_addr = 0x80000
 
-  let run_table3 tel ~predecode ~blocks ~packets =
+  let call_ints m ~entry vals =
+    S.call m ~entry (List.map S.int vals);
+    S.ret_int m
+
+  let run_table3 telemetry ~predecode ~blocks ~regions ~packets =
     let c = DP.compile ~base:0x1000 ~table_base:0x200000 (Dpf.Filter.tcpip_filters 10) in
-    let m = S.create tel ~predecode ~blocks in
-    Vmachine.Mem.install_code (S.mem m) ~addr:c.Dpf.code.Vcode.base
-      c.Dpf.code.Vcode.gen.Gen.buf;
-    DP.install_tables (S.mem m) c;
+    let m = S.create ~predecode ~blocks ~regions ~telemetry Vmachine.Mconfig.dec5000 in
+    Vmachine.Mem.install_code m.S.mem ~addr:c.Dpf.code.Vcode.base c.Dpf.code.Vcode.gen.Gen.buf;
+    DP.install_tables m.S.mem c;
     for k = 0 to packets - 1 do
       let port = 1000 + (k mod 10) in
       let pkt = Dpf.Packet.to_bytes (Dpf.Packet.tcp ~dst_port:port ()) in
-      Vmachine.Mem.blit_bytes (S.mem m) ~addr:pkt_addr pkt;
+      Vmachine.Mem.blit_bytes m.S.mem ~addr:pkt_addr pkt;
       check Alcotest.int (name ^ ": classified") (port - 1000)
-        (S.call_ints m ~entry:c.Dpf.entry [ pkt_addr; Bytes.length pkt ])
+        (call_ints m ~entry:c.Dpf.entry [ pkt_addr; Bytes.length pkt ])
     done;
     m
 end
 
-module Mips_port =
-  Make_port
-    (Vmips.Mips_backend)
-    (struct
-      module S = Vmips.Mips_sim
-
-      type t = S.t
-
-      let create telemetry ~predecode ~blocks =
-        S.create ~predecode ~blocks ~telemetry Vmachine.Mconfig.dec5000
-
-      let mem (m : t) = m.S.mem
-
-      let call_ints m ~entry vals =
-        S.call m ~entry (List.map (fun v -> S.Int v) vals);
-        S.ret_int m
-
-      let insns (m : t) = m.S.insns
-      let bc_stats (m : t) = Vmachine.Block_cache.stats m.S.bc
-      let pdc_stats (m : t) = Vmachine.Decode_cache.stats m.S.pdc
-    end)
-
-module Sparc_port =
-  Make_port
-    (Vsparc.Sparc_backend)
-    (struct
-      module S = Vsparc.Sparc_sim
-
-      type t = S.t
-
-      let create telemetry ~predecode ~blocks =
-        S.create ~predecode ~blocks ~telemetry Vmachine.Mconfig.dec5000
-
-      let mem (m : t) = m.S.mem
-
-      let call_ints m ~entry vals =
-        S.call m ~entry (List.map (fun v -> S.Int v) vals);
-        S.ret_int m
-
-      let insns (m : t) = m.S.insns
-      let bc_stats (m : t) = Vmachine.Block_cache.stats m.S.bc
-      let pdc_stats (m : t) = Vmachine.Decode_cache.stats m.S.pdc
-    end)
-
-module Alpha_port =
-  Make_port
-    (Valpha.Alpha_backend)
-    (struct
-      module S = Valpha.Alpha_sim
-
-      type t = S.t
-
-      let create telemetry ~predecode ~blocks =
-        S.create ~predecode ~blocks ~telemetry Vmachine.Mconfig.dec5000
-
-      let mem (m : t) = m.S.mem
-
-      let call_ints m ~entry vals =
-        S.call m ~entry (List.map (fun v -> S.Int v) vals);
-        S.ret_int m
-
-      let insns (m : t) = m.S.insns
-      let bc_stats (m : t) = Vmachine.Block_cache.stats m.S.bc
-      let pdc_stats (m : t) = Vmachine.Decode_cache.stats m.S.pdc
-    end)
-
-module Ppc_port =
-  Make_port
-    (Vppc.Ppc_backend)
-    (struct
-      module S = Vppc.Ppc_sim
-
-      type t = S.t
-
-      let create telemetry ~predecode ~blocks =
-        S.create ~predecode ~blocks ~telemetry Vmachine.Mconfig.dec5000
-
-      let mem (m : t) = m.S.mem
-
-      let call_ints m ~entry vals =
-        S.call m ~entry (List.map (fun v -> S.Int v) vals);
-        S.ret_int m
-
-      let insns (m : t) = m.S.insns
-      let bc_stats (m : t) = Vmachine.Block_cache.stats m.S.bc
-      let pdc_stats (m : t) = Vmachine.Decode_cache.stats m.S.pdc
-    end)
+module Mips_port = Make_port (Vmips.Mips_backend) (Workloads.Sims.Mips)
+module Sparc_port = Make_port (Vsparc.Sparc_backend) (Workloads.Sims.Sparc)
+module Alpha_port = Make_port (Valpha.Alpha_backend) (Workloads.Sims.Alpha)
+module Ppc_port = Make_port (Vppc.Ppc_backend) (Workloads.Sims.Ppc)
 
 (* ------------------------------------------------------------------ *)
 (* Simulator counters mirror the sources of truth, on every port and
    in every engine mode                                                *)
 
-let modes = [ ("off", (false, false)); ("predecode", (true, false)); ("blocks", (true, true)) ]
-
 let exact_port_case (module P : PORT) () =
   List.iter
-    (fun (mode, (predecode, blocks)) ->
+    (fun (mode, (predecode, blocks, regions)) ->
       let tel = Tel.create () in
-      let m = P.run_table3 tel ~predecode ~blocks ~packets:60 in
+      let m = P.run_table3 tel ~predecode ~blocks ~regions ~packets:60 in
       let here = Printf.sprintf "%s/%s: " P.name mode in
       (* retired instructions land on the one per-mode counter *)
       check Alcotest.int (here ^ "retired counter equals sim insns") (P.insns m)
@@ -187,7 +94,7 @@ let exact_port_case (module P : PORT) () =
             | None | Some 0 -> ()
             | Some v ->
               Alcotest.failf "%sretirement credited to mode %s (%d)" here other v)
-        modes;
+        Workloads.modes;
       (* cache counters mirror the caches' own stats *)
       let compiles, invals = P.bc_stats m in
       check Alcotest.int (here ^ "bc.compiles mirrors Block_cache.stats") compiles
@@ -211,7 +118,7 @@ let exact_port_case (module P : PORT) () =
           (List.exists (fun (k, _, _) -> k = Tel.Block_chain) (Tel.events tel));
         (* ...so pin compile events on a short run that fits in it *)
         let tel1 = Tel.create () in
-        ignore (P.run_table3 tel1 ~predecode ~blocks ~packets:1);
+        ignore (P.run_table3 tel1 ~predecode ~blocks ~regions ~packets:1);
         check Alcotest.bool (here ^ "compile events in the ring") true
           (List.exists (fun (k, _, _) -> k = Tel.Block_compile) (Tel.events tel1))
       end
@@ -222,7 +129,7 @@ let exact_port_case (module P : PORT) () =
       end;
       if not predecode then
         check Alcotest.int (here ^ "no predecode fills with predecode off") 0 fills)
-    modes
+    Workloads.modes
 
 let test_exact_mips () = exact_port_case (module Mips_port) ()
 let test_exact_sparc () = exact_port_case (module Sparc_port) ()

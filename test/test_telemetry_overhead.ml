@@ -47,29 +47,30 @@ let ash_words = 512
 
 module type PORT = sig
   val name : string
-  val run_loop : Tel.t option -> predecode:bool -> blocks:bool -> outcome
-  val run_table3 : Tel.t option -> predecode:bool -> blocks:bool -> outcome
-  val run_table4 : Tel.t option -> predecode:bool -> blocks:bool -> outcome
+  val run_loop : Tel.t option -> predecode:bool -> blocks:bool -> regions:bool -> outcome
+  val run_table3 : Tel.t option -> predecode:bool -> blocks:bool -> regions:bool -> outcome
+  val run_table4 : Tel.t option -> predecode:bool -> blocks:bool -> regions:bool -> outcome
 end
 
-module Make_port
-    (T : Target.S)
-    (S : sig
-      type t
-
-      val create : Tel.t option -> predecode:bool -> blocks:bool -> t
-      val mem : t -> Vmachine.Mem.t
-      val call_ints : t -> entry:int -> int list -> int
-      val stats : t -> int * (int * ((int * int) * (int * int)))
-    end) : PORT = struct
+module Make_port (T : Target.S) (S : Workloads.SIM) : PORT = struct
   module V = Vcode.Make (T)
   module DP = Dpf.Make (T)
   module ASH = Ash.Make (T)
 
   let name = T.desc.Machdesc.name
 
+  let create telemetry ~predecode ~blocks ~regions =
+    S.create ?telemetry ~predecode ~blocks ~regions Vmachine.Mconfig.dec5000
+
+  let call_ints m ~entry vals =
+    S.call m ~entry (List.map S.int vals);
+    S.ret_int m
+
+  let stats (m : S.t) =
+    (m.S.cycles, (m.S.insns, (Vmachine.Cache.stats m.S.icache, Vmachine.Cache.stats m.S.dcache)))
+
   let install m (c : Vcode.code) =
-    Vmachine.Mem.install_code (S.mem m) ~addr:c.Vcode.base c.Vcode.gen.Gen.buf
+    Vmachine.Mem.install_code m.S.mem ~addr:c.Vcode.base c.Vcode.gen.Gen.buf
 
   (* same mixed-ALU fixture as the decode/block-cache tests *)
   let gen_loop () =
@@ -90,153 +91,61 @@ module Make_port
     reti g acc;
     V.end_gen g
 
-  let run_loop tel ~predecode ~blocks =
-    let m = S.create tel ~predecode ~blocks in
+  let run_loop tel ~predecode ~blocks ~regions =
+    let m = create tel ~predecode ~blocks ~regions in
     let c = gen_loop () in
     install m c;
-    let r1 = S.call_ints m ~entry:c.Vcode.entry_addr [ 500 ] in
-    let r2 = S.call_ints m ~entry:c.Vcode.entry_addr [ 500 ] in
+    let r1 = call_ints m ~entry:c.Vcode.entry_addr [ 500 ] in
+    let r2 = call_ints m ~entry:c.Vcode.entry_addr [ 500 ] in
     check Alcotest.int (name ^ ": loop rerun agrees") r1 r2;
-    { stats = S.stats m; code = Codebuf.to_array c.Vcode.gen.Gen.buf }
+    { stats = stats m; code = Codebuf.to_array c.Vcode.gen.Gen.buf }
 
-  let run_table3 tel ~predecode ~blocks =
+  let run_table3 tel ~predecode ~blocks ~regions =
     let c = DP.compile ~base:0x1000 ~table_base:0x200000 (Dpf.Filter.tcpip_filters 10) in
-    let m = S.create tel ~predecode ~blocks in
+    let m = create tel ~predecode ~blocks ~regions in
     install m c.Dpf.code;
-    DP.install_tables (S.mem m) c;
+    DP.install_tables m.S.mem c;
     for k = 0 to 119 do
       let port = 1000 + (k mod 10) in
-      Dpf.Packet.install (S.mem m) ~addr:pkt_addr (Dpf.Packet.tcp ~dst_port:port ());
+      Dpf.Packet.install m.S.mem ~addr:pkt_addr (Dpf.Packet.tcp ~dst_port:port ());
       check Alcotest.int (name ^ ": classified") (port - 1000)
-        (S.call_ints m ~entry:c.Dpf.entry [ pkt_addr; 40 ])
+        (call_ints m ~entry:c.Dpf.entry [ pkt_addr; 40 ])
     done;
-    { stats = S.stats m; code = Codebuf.to_array c.Dpf.code.Vcode.gen.Gen.buf }
+    { stats = stats m; code = Codebuf.to_array c.Dpf.code.Vcode.gen.Gen.buf }
 
-  let run_table4 tel ~predecode ~blocks =
+  let run_table4 tel ~predecode ~blocks ~regions =
     let ash = ASH.gen_ash ~base:0x8000 [ Ash.Copy; Ash.Checksum ] in
-    let m = S.create tel ~predecode ~blocks in
+    let m = create tel ~predecode ~blocks ~regions in
     install m ash;
     let data = Bytes.init (4 * ash_words) (fun i -> Char.chr ((i * 131) land 0xff)) in
-    Vmachine.Mem.blit_bytes (S.mem m) ~addr:src_addr data;
-    let r1 = S.call_ints m ~entry:ash.Vcode.entry_addr [ dst_addr; src_addr; ash_words ] in
-    let r2 = S.call_ints m ~entry:ash.Vcode.entry_addr [ dst_addr; src_addr; ash_words ] in
+    Vmachine.Mem.blit_bytes m.S.mem ~addr:src_addr data;
+    let r1 = call_ints m ~entry:ash.Vcode.entry_addr [ dst_addr; src_addr; ash_words ] in
+    let r2 = call_ints m ~entry:ash.Vcode.entry_addr [ dst_addr; src_addr; ash_words ] in
     check Alcotest.int (name ^ ": ash rerun agrees") r1 r2;
-    { stats = S.stats m; code = Codebuf.to_array ash.Vcode.gen.Gen.buf }
+    { stats = stats m; code = Codebuf.to_array ash.Vcode.gen.Gen.buf }
 end
 
-module Mips_port =
-  Make_port
-    (Vmips.Mips_backend)
-    (struct
-      module S = Vmips.Mips_sim
-
-      type t = S.t
-
-      let create tel ~predecode ~blocks =
-        match tel with
-        | None -> S.create ~predecode ~blocks Vmachine.Mconfig.dec5000
-        | Some telemetry -> S.create ~predecode ~blocks ~telemetry Vmachine.Mconfig.dec5000
-
-      let mem (m : t) = m.S.mem
-
-      let call_ints m ~entry vals =
-        S.call m ~entry (List.map (fun v -> S.Int v) vals);
-        S.ret_int m
-
-      let stats (m : t) =
-        ( m.S.cycles,
-          (m.S.insns, (Vmachine.Cache.stats m.S.icache, Vmachine.Cache.stats m.S.dcache)) )
-    end)
-
-module Sparc_port =
-  Make_port
-    (Vsparc.Sparc_backend)
-    (struct
-      module S = Vsparc.Sparc_sim
-
-      type t = S.t
-
-      let create tel ~predecode ~blocks =
-        match tel with
-        | None -> S.create ~predecode ~blocks Vmachine.Mconfig.dec5000
-        | Some telemetry -> S.create ~predecode ~blocks ~telemetry Vmachine.Mconfig.dec5000
-
-      let mem (m : t) = m.S.mem
-
-      let call_ints m ~entry vals =
-        S.call m ~entry (List.map (fun v -> S.Int v) vals);
-        S.ret_int m
-
-      let stats (m : t) =
-        ( m.S.cycles,
-          (m.S.insns, (Vmachine.Cache.stats m.S.icache, Vmachine.Cache.stats m.S.dcache)) )
-    end)
-
-module Alpha_port =
-  Make_port
-    (Valpha.Alpha_backend)
-    (struct
-      module S = Valpha.Alpha_sim
-
-      type t = S.t
-
-      let create tel ~predecode ~blocks =
-        match tel with
-        | None -> S.create ~predecode ~blocks Vmachine.Mconfig.dec5000
-        | Some telemetry -> S.create ~predecode ~blocks ~telemetry Vmachine.Mconfig.dec5000
-
-      let mem (m : t) = m.S.mem
-
-      let call_ints m ~entry vals =
-        S.call m ~entry (List.map (fun v -> S.Int v) vals);
-        S.ret_int m
-
-      let stats (m : t) =
-        ( m.S.cycles,
-          (m.S.insns, (Vmachine.Cache.stats m.S.icache, Vmachine.Cache.stats m.S.dcache)) )
-    end)
-
-module Ppc_port =
-  Make_port
-    (Vppc.Ppc_backend)
-    (struct
-      module S = Vppc.Ppc_sim
-
-      type t = S.t
-
-      let create tel ~predecode ~blocks =
-        match tel with
-        | None -> S.create ~predecode ~blocks Vmachine.Mconfig.dec5000
-        | Some telemetry -> S.create ~predecode ~blocks ~telemetry Vmachine.Mconfig.dec5000
-
-      let mem (m : t) = m.S.mem
-
-      let call_ints m ~entry vals =
-        S.call m ~entry (List.map (fun v -> S.Int v) vals);
-        S.ret_int m
-
-      let stats (m : t) =
-        ( m.S.cycles,
-          (m.S.insns, (Vmachine.Cache.stats m.S.icache, Vmachine.Cache.stats m.S.dcache)) )
-    end)
-
-let modes = [ ("off", (false, false)); ("predecode", (true, false)); ("blocks", (true, true)) ]
+module Mips_port = Make_port (Vmips.Mips_backend) (Workloads.Sims.Mips)
+module Sparc_port = Make_port (Vsparc.Sparc_backend) (Workloads.Sims.Sparc)
+module Alpha_port = Make_port (Valpha.Alpha_backend) (Workloads.Sims.Alpha)
+module Ppc_port = Make_port (Vppc.Ppc_backend) (Workloads.Sims.Ppc)
 
 (* ------------------------------------------------------------------ *)
 (* Bit identity: the full workload × port × mode matrix                *)
 
 let identity_case (module P : PORT)
-    (wname, (run : Tel.t option -> predecode:bool -> blocks:bool -> outcome)) () =
+    (wname, (run : Tel.t option -> predecode:bool -> blocks:bool -> regions:bool -> outcome)) ()
+    =
   List.iter
-    (fun (label, (predecode, blocks)) ->
-      let off = run None ~predecode ~blocks in
-      let live = run (Some (Tel.create ())) ~predecode ~blocks in
+    (fun (label, (predecode, blocks, regions)) ->
+      let off = run None ~predecode ~blocks ~regions in
+      let live = run (Some (Tel.create ())) ~predecode ~blocks ~regions in
       let here = Printf.sprintf "%s/%s/%s: " P.name wname label in
       check quad (here ^ "cycles/insns/cache stats bit-identical") off.stats live.stats;
       check
         Alcotest.(array int)
         (here ^ "generated code words identical") off.code live.code)
-    modes
+    Workloads.modes
 
 let workloads (module P : PORT) =
   [ ("alu-loop", P.run_loop); ("table3-dpf", P.run_table3); ("table4-ash", P.run_table4) ]
@@ -253,13 +162,9 @@ let identity_tests (module P : PORT) =
 (* Steady-state allocation: zero minor-heap words per simulated
    instruction, whichever sink is installed                            *)
 
-let allocation_case tel () =
+let allocation_in_mode tel (mode, (predecode, blocks, regions)) =
   let module S = Vmips.Mips_sim in
-  let m =
-    match tel with
-    | None -> S.create Vmachine.Mconfig.test_config
-    | Some telemetry -> S.create ~telemetry Vmachine.Mconfig.test_config
-  in
+  let m = S.create ?telemetry:tel ~predecode ~blocks ~regions Vmachine.Mconfig.test_config in
   let code =
     let module V = Vcode.Make (Vmips.Mips_backend) in
     let g, args = V.lambda ~base:0x10000 ~leaf:true "%i" in
@@ -294,8 +199,14 @@ let allocation_case tel () =
   check Alcotest.bool "ran a meaningful number of instructions" true (retired > 100_000);
   let per_insn = allocated /. float_of_int retired in
   if per_insn >= 0.01 then
-    Alcotest.failf "allocates %.4f minor words per simulated instruction (%.0f for %d)"
-      per_insn allocated retired
+    Alcotest.failf "%s: allocates %.4f minor words per simulated instruction (%.0f for %d)"
+      mode per_insn allocated retired
+
+(* every tier that predecodes (the off tier decodes, and so allocates,
+   each instruction by definition) *)
+let allocation_case tel () =
+  List.iter (allocation_in_mode tel)
+    (List.filter (fun (_, (predecode, _, _)) -> predecode) Workloads.modes)
 
 (* the disabled stopwatch/timeline fast path: exactly zero minor words
    across 100k timer brackets and timeline ticks — not just "small per

@@ -245,19 +245,10 @@ type outcome = { stats : int * (int * ((int * int) * (int * int))); code : int a
 
 module type PORT = sig
   val name : string
-  val run_loop : Trace.t option -> predecode:bool -> blocks:bool -> outcome
+  val run_loop : Trace.t option -> predecode:bool -> blocks:bool -> regions:bool -> outcome
 end
 
-module Make_port
-    (T : Target.S)
-    (S : sig
-      type t
-
-      val create : Trace.t option -> predecode:bool -> blocks:bool -> t
-      val mem : t -> Vmachine.Mem.t
-      val call_ints : t -> entry:int -> int list -> int
-      val stats : t -> int * (int * ((int * int) * (int * int)))
-    end) : PORT = struct
+module Make_port (T : Target.S) (S : Workloads.SIM) : PORT = struct
   module VP = Vcode.Make (T)
 
   let name = T.desc.Machdesc.name
@@ -280,133 +271,48 @@ module Make_port
     reti g acc;
     VP.end_gen g
 
-  let run_loop tr ~predecode ~blocks =
-    let m = S.create tr ~predecode ~blocks in
+  let call_ints m ~entry vals =
+    S.call m ~entry (List.map S.int vals);
+    S.ret_int m
+
+  let run_loop trace ~predecode ~blocks ~regions =
+    let m = S.create ?trace ~predecode ~blocks ~regions Vmachine.Mconfig.dec5000 in
     let c = gen_loop () in
-    Vmachine.Mem.install_code (S.mem m) ~addr:c.Vcode.base c.Vcode.gen.Gen.buf;
-    let r1 = S.call_ints m ~entry:c.Vcode.entry_addr [ 500 ] in
-    let r2 = S.call_ints m ~entry:c.Vcode.entry_addr [ 500 ] in
+    Vmachine.Mem.install_code m.S.mem ~addr:c.Vcode.base c.Vcode.gen.Gen.buf;
+    let r1 = call_ints m ~entry:c.Vcode.entry_addr [ 500 ] in
+    let r2 = call_ints m ~entry:c.Vcode.entry_addr [ 500 ] in
     check Alcotest.int (name ^ ": loop rerun agrees") r1 r2;
-    { stats = S.stats m; code = Codebuf.to_array c.Vcode.gen.Gen.buf }
+    let stats =
+      ( m.S.cycles,
+        (m.S.insns, (Vmachine.Cache.stats m.S.icache, Vmachine.Cache.stats m.S.dcache)) )
+    in
+    { stats; code = Codebuf.to_array c.Vcode.gen.Gen.buf }
 end
 
-module Mips_port =
-  Make_port
-    (Vmips.Mips_backend)
-    (struct
-      module S = Vmips.Mips_sim
-
-      type t = S.t
-
-      let create tr ~predecode ~blocks =
-        match tr with
-        | None -> S.create ~predecode ~blocks Vmachine.Mconfig.dec5000
-        | Some trace -> S.create ~predecode ~blocks ~trace Vmachine.Mconfig.dec5000
-
-      let mem (m : t) = m.S.mem
-
-      let call_ints m ~entry vals =
-        S.call m ~entry (List.map (fun v -> S.Int v) vals);
-        S.ret_int m
-
-      let stats (m : t) =
-        ( m.S.cycles,
-          (m.S.insns, (Vmachine.Cache.stats m.S.icache, Vmachine.Cache.stats m.S.dcache)) )
-    end)
-
-module Sparc_port =
-  Make_port
-    (Vsparc.Sparc_backend)
-    (struct
-      module S = Vsparc.Sparc_sim
-
-      type t = S.t
-
-      let create tr ~predecode ~blocks =
-        match tr with
-        | None -> S.create ~predecode ~blocks Vmachine.Mconfig.dec5000
-        | Some trace -> S.create ~predecode ~blocks ~trace Vmachine.Mconfig.dec5000
-
-      let mem (m : t) = m.S.mem
-
-      let call_ints m ~entry vals =
-        S.call m ~entry (List.map (fun v -> S.Int v) vals);
-        S.ret_int m
-
-      let stats (m : t) =
-        ( m.S.cycles,
-          (m.S.insns, (Vmachine.Cache.stats m.S.icache, Vmachine.Cache.stats m.S.dcache)) )
-    end)
-
-module Alpha_port =
-  Make_port
-    (Valpha.Alpha_backend)
-    (struct
-      module S = Valpha.Alpha_sim
-
-      type t = S.t
-
-      let create tr ~predecode ~blocks =
-        match tr with
-        | None -> S.create ~predecode ~blocks Vmachine.Mconfig.dec5000
-        | Some trace -> S.create ~predecode ~blocks ~trace Vmachine.Mconfig.dec5000
-
-      let mem (m : t) = m.S.mem
-
-      let call_ints m ~entry vals =
-        S.call m ~entry (List.map (fun v -> S.Int v) vals);
-        S.ret_int m
-
-      let stats (m : t) =
-        ( m.S.cycles,
-          (m.S.insns, (Vmachine.Cache.stats m.S.icache, Vmachine.Cache.stats m.S.dcache)) )
-    end)
-
-module Ppc_port =
-  Make_port
-    (Vppc.Ppc_backend)
-    (struct
-      module S = Vppc.Ppc_sim
-
-      type t = S.t
-
-      let create tr ~predecode ~blocks =
-        match tr with
-        | None -> S.create ~predecode ~blocks Vmachine.Mconfig.dec5000
-        | Some trace -> S.create ~predecode ~blocks ~trace Vmachine.Mconfig.dec5000
-
-      let mem (m : t) = m.S.mem
-
-      let call_ints m ~entry vals =
-        S.call m ~entry (List.map (fun v -> S.Int v) vals);
-        S.ret_int m
-
-      let stats (m : t) =
-        ( m.S.cycles,
-          (m.S.insns, (Vmachine.Cache.stats m.S.icache, Vmachine.Cache.stats m.S.dcache)) )
-    end)
-
-let modes = [ ("off", (false, false)); ("predecode", (true, false)); ("blocks", (true, true)) ]
+module Mips_port = Make_port (Vmips.Mips_backend) (Workloads.Sims.Mips)
+module Sparc_port = Make_port (Vsparc.Sparc_backend) (Workloads.Sims.Sparc)
+module Alpha_port = Make_port (Valpha.Alpha_backend) (Workloads.Sims.Alpha)
+module Ppc_port = Make_port (Vppc.Ppc_backend) (Workloads.Sims.Ppc)
 
 let identity_case (module P : PORT) () =
   List.iter
-    (fun (label, (predecode, blocks)) ->
-      let off = P.run_loop None ~predecode ~blocks in
-      let live = P.run_loop (Some (Trace.create ())) ~predecode ~blocks in
+    (fun (label, (predecode, blocks, regions)) ->
+      let off = P.run_loop None ~predecode ~blocks ~regions in
+      let live = P.run_loop (Some (Trace.create ())) ~predecode ~blocks ~regions in
       let here = Printf.sprintf "%s/%s: " P.name label in
       check quad (here ^ "cycles/insns/cache stats bit-identical") off.stats live.stats;
       check Alcotest.(array int) (here ^ "generated code words identical") off.code live.code)
-    modes
+    Workloads.modes
 
 (* the same retired-pc stream must come out of every engine mode *)
 let stream_equivalence_case (module P : PORT) () =
   let streams =
     List.map
-      (fun (label, (predecode, blocks)) ->
+      (fun (label, (predecode, blocks, regions)) ->
         let tr = Trace.create ~capacity_pow2:16 () in
-        ignore (P.run_loop (Some tr) ~predecode ~blocks);
+        ignore (P.run_loop (Some tr) ~predecode ~blocks ~regions);
         (label, Trace.retired_pcs tr))
-      modes
+      Workloads.modes
   in
   match streams with
   | (ref_label, ref_pcs) :: rest ->
@@ -425,13 +331,9 @@ let stream_equivalence_case (module P : PORT) () =
 (* Steady-state allocation: zero minor-heap words per instruction,
    whichever sink is installed                                         *)
 
-let allocation_case tr () =
+let allocation_in_mode tr (mode, (predecode, blocks, regions)) =
   let module S = Vmips.Mips_sim in
-  let m =
-    match tr with
-    | None -> S.create Vmachine.Mconfig.test_config
-    | Some trace -> S.create ~trace Vmachine.Mconfig.test_config
-  in
+  let m = S.create ?trace:tr ~predecode ~blocks ~regions Vmachine.Mconfig.test_config in
   let code =
     let g, args = V.lambda ~base:0x10000 ~leaf:true "%i" in
     let open V.Names in
@@ -464,8 +366,14 @@ let allocation_case tr () =
   check Alcotest.bool "ran a meaningful number of instructions" true (retired > 100_000);
   let per_insn = allocated /. float_of_int retired in
   if per_insn >= 0.01 then
-    Alcotest.failf "allocates %.4f minor words per simulated instruction (%.0f for %d)"
-      per_insn allocated retired
+    Alcotest.failf "%s: allocates %.4f minor words per simulated instruction (%.0f for %d)"
+      mode per_insn allocated retired
+
+(* every tier that predecodes (the off tier decodes, and so allocates,
+   each instruction by definition) *)
+let allocation_case tr () =
+  List.iter (allocation_in_mode tr)
+    (List.filter (fun (_, (predecode, _, _)) -> predecode) Workloads.modes)
 
 (* ------------------------------------------------------------------ *)
 (* The differ on an injected block-cache divergence                    *)
