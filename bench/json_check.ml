@@ -1,12 +1,14 @@
-(* Strict validator for the benchmark harness's `--json FILE` output.
+(* Strict validator for the JSON the benchmark harness and the
+   observability tools write: bench `--json`, vprof `--json` and
+   `--perfetto`, and vtrace's Chrome trace_event export.
 
-   The harness writes its results by hand (bench/main.ml, [write_json])
-   rather than through a JSON library, so nothing structurally guards
-   the format; this tool re-parses the file with a small
-   strict-by-construction RFC 8259 parser and exits non-zero on any
-   deviation — in particular a bare `nan`/`inf` token from a non-finite
-   measurement, the regression that [json_float]'s null fallback
-   exists to prevent.
+   All of them go through one small hand-rolled writer
+   (lib/harness/report.ml) rather than a JSON library, so nothing
+   structurally guards the format; this tool re-parses each file with
+   a small strict-by-construction RFC 8259 parser and exits non-zero on
+   any deviation — in particular a bare `nan`/`inf` token from a
+   non-finite measurement, the regression that [Report.json_float]'s
+   null fallback exists to prevent.
 
    [--require-schema N] additionally demands that every file carry a
    top-level "schema" key equal to N — the version pin for the

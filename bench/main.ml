@@ -49,11 +49,6 @@ let record key v = json_results := (key, v) :: !json_results
 let tel_sink : Vmachine.Telemetry.t option ref = ref None
 let tel () = match !tel_sink with Some t -> t | None -> Vmachine.Telemetry.disabled
 
-let json_float v =
-  match Float.classify_float v with
-  | FP_nan | FP_infinite -> "null"
-  | _ -> Printf.sprintf "%.6g" v
-
 (* version of the --json document layout; bump when keys change.
    bench/json_check.exe --require-schema pins it in the test suite.
      1: pre-schema-field dumps
@@ -67,50 +62,22 @@ let json_float v =
      7: tail-latency percentiles — router.install_ns.* and
         router.classify_ns.* (p50/p99/p999 interpolated from the
         telemetry log2 buckets by Telemetry.quantile_of_stats) and
-        corpus.mips.<w>.run_ns.* per-run percentiles *)
-let json_schema_version = 7
+        corpus.mips.<w>.run_ns.* per-run percentiles
+     8: written through the shared Report writer: the --telemetry
+        object's dists grew interpolated p50/p90/p99/p999 keys *)
+let json_schema_version = 8
 
 let write_json path =
   let items = List.rev !json_results in
-  let n = List.length items in
-  let tel_on = match !tel_sink with Some _ -> true | None -> false in
-  let oc = open_out path in
-  output_string oc "{\n";
-  Printf.fprintf oc "  \"schema\": %d%s\n" json_schema_version
-    (if n > 0 || tel_on then "," else "");
-  List.iteri
-    (fun i (k, v) ->
-      Printf.fprintf oc "  %S: %s%s\n" k (json_float v)
-        (if i < n - 1 || tel_on then "," else ""))
-    items;
-  (match !tel_sink with
-  | None -> ()
-  | Some t ->
-    let module T = Vmachine.Telemetry in
-    let collect iter = (* registration-ordered (name, payload) list *)
-      let acc = ref [] in
-      iter t (fun name v -> acc := (name, v) :: !acc);
-      List.rev !acc
-    in
-    let emit_obj indent kvs payload =
-      let n = List.length kvs in
-      List.iteri
-        (fun i (k, v) ->
-          Printf.fprintf oc "%s%S: %s%s\n" indent k (payload v)
-            (if i < n - 1 then "," else ""))
-        kvs
-    in
-    output_string oc "  \"telemetry\": {\n    \"counters\": {\n";
-    emit_obj "      " (collect T.iter_counters) string_of_int;
-    output_string oc "    },\n    \"dists\": {\n";
-    emit_obj "      " (collect T.iter_dists) (fun (st : T.dist_stats) ->
-        Printf.sprintf "{ \"count\": %d, \"sum\": %d, \"min\": %d, \"max\": %d }"
-          st.T.count st.T.sum st.T.min st.T.max);
-    Printf.fprintf oc "    },\n    \"events_seen\": %d\n  }\n" (T.events_seen t);
-    ());
-  output_string oc "}\n";
-  close_out oc;
-  Printf.printf "wrote %d results to %s\n" n path
+  let telemetry =
+    match !tel_sink with None -> [] | Some t -> [ ("telemetry", Report.Obj (Report.telemetry t)) ]
+  in
+  Report.to_file path
+    (Report.Obj
+       ((("schema", Report.Int json_schema_version)
+        :: List.map (fun (k, v) -> (k, Report.Float v)) items)
+       @ telemetry));
+  Printf.printf "wrote %d results to %s\n" (List.length items) path
 
 (* dotted-key path component: lowercase, alphanumeric runs joined by _ *)
 let slug s =
@@ -1110,7 +1077,7 @@ let bench_router () =
   (* tail latency: a dedicated enabled sink (independent of
      --telemetry, so the throughput sections above keep their
      zero-overhead disabled path) feeds the install/classify stopwatch
-     dists; percentiles interpolated from the log2 buckets.  bin/vstat
+     dists; percentiles interpolated from the log2 buckets.  bin/vprof
      is the interactive view of the same distributions. *)
   let module T = Vmachine.Telemetry in
   let tel_l = T.create () in
@@ -1136,7 +1103,7 @@ let bench_router () =
 
 (* ------------------------------------------------------------------ *)
 (* Section: json-selftest -- deliberately record non-finite values so a
-   `--json FILE` run exercises the null fallback in [json_float]; the
+   `--json FILE` run exercises the null fallback in [Report.json_float]; the
    json_check tool then verifies the file is strictly parseable. *)
 
 let bench_json_selftest () =

@@ -1,25 +1,39 @@
-(* vprof: telemetry profiler for the simulated evaluation workloads.
+(* vprof: the profiler for the simulated evaluation workloads.
 
-   Runs a Table 3 / Table 4 workload on one of the four simulated ports
-   with an enabled {!Vmachine.Telemetry} sink and prints a sorted
-   report: the hottest compiled superblocks (per-entry execution counts
-   from {!Vmachine.Block_cache}), every registered counter, the
-   distribution summaries, and the tail of the structured event ring.
-   [--json FILE] writes the same data machine-readably (schema below);
-   bench/json_check.exe validates it in the test suite.
+   Runs one workload on one of the four simulated ports with an enabled
+   {!Vmachine.Telemetry} sink and a {!Vmachine.Timeline} attached, and
+   prints one report: the hottest compiled superblocks (per-entry
+   execution counts from {!Vmachine.Block_cache}), the per-tier
+   dispatch profile, the code-region registry and its hottest tenants
+   (router), every registered counter, every distribution with
+   interpolated p50/p90/p99/p999 and a log2-bucket sparkline, and the
+   timeline accounting.  The *_ns distributions are host-clock
+   latencies: server install/replace/evict, per-packet classification,
+   per-call simulator runs, block compiles, region promotions.
+
+   [--json FILE] writes the same data machine-readably (schema below,
+   validated by bench/json_check.exe); [--perfetto FILE] writes the
+   merged Chrome trace_event export (one counter track per timeline
+   gauge plus the telemetry event ring as instants), loadable in
+   Perfetto / chrome://tracing (see {!Chrome_trace.write_timeline}).
 
    Examples:
      vprof                                    # dpf-classify, mips, blocks
      vprof -w table4-ash -p sparc -m predecode
      vprof -w alu-loop -p alpha --top 5 --json prof.json
+     vprof -w router --iters 20000 --json r.json --perfetto r.perfetto.json
+     vprof -w asm:josephus -m regions --runs 200
 
    The port/workload/mode vocabulary and the workload fixtures live in
    {!Workloads} (lib/harness), shared with bench/main.exe and
-   bin/vtrace.exe.  EXPERIMENTS.md ("Reading a vprof report") walks
-   through the default report line by line. *)
+   bin/vtrace.exe.  EXPERIMENTS.md ("Reading a vprof report" and
+   "Router tail latency with vprof") walks through both halves of the
+   report. *)
 
 module Tel = Vmachine.Telemetry
+module Timeline = Vmachine.Timeline
 module W = Workloads
+module R = Report
 
 (* schema version of the --json document; bump when keys change.
    2: added the per-tier "tiers" object (block/region dispatch counts,
@@ -29,144 +43,98 @@ module W = Workloads
    gauges from the server.* counters) and the "router" workload.
    4: dist objects grew interpolated "p50"/"p90"/"p99"/"p999" keys
    (from {!Vmachine.Telemetry.quantile_of_stats} over the log2
-   buckets), matching the latency timers that now feed *_ns dists. *)
-let json_schema_version = 4
+   buckets), matching the latency timers that now feed *_ns dists.
+   5: folded in the former vstat report: the "runs" count, the
+   per-tenant "tenants" array (router) and the "timeline" accounting
+   object; written through {!Report}, so "side_exit_rate" is a
+   shortest-form number rather than four fixed decimals. *)
+let json_schema_version = 5
 
-let json_escape s =
-  let b = Buffer.create (String.length s + 2) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\t' -> Buffer.add_string b "\\t"
-      | '\r' -> Buffer.add_string b "\\r"
-      | c when Char.code c < 0x20 -> Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
-(* compact log2-bucket sparkline: the nonzero bucket span rendered in
-   eight block heights, labelled with its value range *)
-let spark (st : Tel.dist_stats) =
-  let b = st.Tel.buckets in
-  let lo = ref (-1) and hi = ref (-1) and peak = ref 0 in
-  Array.iteri
-    (fun i n ->
-      if n > 0 then begin
-        if !lo < 0 then lo := i;
-        hi := i;
-        if n > !peak then peak := n
-      end)
-    b;
-  if !lo < 0 then ""
-  else begin
-    let glyphs = [| "\xe2\x96\x81"; "\xe2\x96\x82"; "\xe2\x96\x83"; "\xe2\x96\x84";
-                    "\xe2\x96\x85"; "\xe2\x96\x86"; "\xe2\x96\x87"; "\xe2\x96\x88" |] in
-    let buf = Buffer.create 64 in
-    Buffer.add_string buf (Printf.sprintf "[2^%d..2^%d] " !lo (!hi + 1));
-    for i = !lo to !hi do
-      if b.(i) = 0 then Buffer.add_char buf ' '
-      else Buffer.add_string buf glyphs.(((b.(i) * 7) + !peak - 1) / !peak)
-    done;
-    Buffer.contents buf
-  end
+(* timeline sampling period, in ticks (packets on the router, runs
+   otherwise) *)
+let timeline_every = 64
 
 type outcome = {
-  o_insns : int;
-  o_cycles : int;
-  o_hot : (int * int) list; (* all entries, hottest first *)
-  o_disasm : int -> string; (* first instruction at an entry address *)
-  o_counters : (string * int) list; (* registration order *)
-  o_dists : (string * Tel.dist_stats) list;
-  o_events_seen : int;
+  insns : int;
+  cycles : int;
+  hot : (int * int) list; (* all entries, hottest first *)
+  disasm : int -> string; (* first instruction at an entry address *)
+  tenants : (int * int * int * int) list; (* key, packets, total_ns, max_ns *)
+  tel : Tel.t;
+  tl : Timeline.t;
 }
 
-(* the four-tier dispatch profile, extracted from the port's counters *)
-type tiers = {
-  t_block_execs : int;     (* tier-2 superblock dispatches *)
-  t_block_chains : int;
-  t_region_execs : int;    (* tier-3 region dispatches *)
-  t_side_exits : int;      (* specialized branches that went the other way *)
-  t_promotions : int;      (* superblocks recompiled as regions *)
-  t_invalidations : int;   (* region drops from stores into region code *)
-}
+(* A profile section is rows of (JSON key, report label, counter). *)
 
-let tiers_of (o : outcome) ~port =
-  let c name = Option.value ~default:0 (List.assoc_opt (port ^ "." ^ name) o.o_counters) in
-  {
-    t_block_execs = c "block_execs";
-    t_block_chains = c "block_chains";
-    t_region_execs = c "region_execs";
-    t_side_exits = c "region_side_exits";
-    t_promotions = c "rc.promotions";
-    t_invalidations = c "rc.invalidations";
-  }
+(* the four-tier dispatch profile, from the port's counters *)
+let tier_rows =
+  [
+    ("block_execs", "block execs (tier 2)", "block_execs");
+    ("block_chains", "block chains", "block_chains");
+    ("region_execs", "region execs (tier 3)", "region_execs");
+    ("region_promotions", "region promotions", "rc.promotions");
+    ("region_invalidations", "region invalidations", "rc.invalidations");
+    (* specialized branches that went the other way *)
+    ("region_side_exits", "region side exits", "region_side_exits");
+  ]
 
-let side_exit_rate (t : tiers) =
-  if t.t_region_execs = 0 then 0.0
-  else 100.0 *. float_of_int t.t_side_exits /. float_of_int t.t_region_execs
+(* the code-region registry profile (router workload), from the
+   server.* counters the {!Vserver.Server} instance registers; all zero
+   for workloads that don't run a registry *)
+let registry_rows =
+  [
+    ("installs", "installs", "install");
+    ("replaces", "replaces", "replace");
+    ("evictions", "evictions", "evict");
+    (* forced by a full arena or max_live *)
+    ("capacity_evictions", "capacity evictions", "evict_capacity");
+    ("live_regions", "live regions", "live_regions");
+    ("slabs_live", "arena slabs live", "arena.live_slabs");
+    ("slabs_free", "arena slabs free", "arena.free_slabs");
+    ("bump_words", "arena bump words", "arena.bump_words");
+    ("lookup_hits", "lookup hits", "lookup.hit");
+    ("lookup_misses", "lookup misses", "lookup.miss");
+  ]
 
-(* the code-region registry profile (router workload), extracted from
-   the server.* counters the {!Vserver.Server} instance registers;
-   all zero for workloads that don't run a registry *)
-type registry = {
-  r_installs : int;
-  r_replaces : int;
-  r_evictions : int;       (* explicit evicts *)
-  r_cap_evictions : int;   (* forced by a full arena or max_live *)
-  r_live : int;            (* gauge: resident regions *)
-  r_slabs_live : int;      (* gauge: arena slabs in use *)
-  r_slabs_free : int;      (* gauge: slabs parked on free lists *)
-  r_bump_words : int;      (* gauge: words ever claimed from the frontier *)
-  r_hits : int;
-  r_misses : int;
-}
+let count tel name = Option.value ~default:0 (Tel.find tel name)
 
-let registry_of (o : outcome) =
-  let c name = Option.value ~default:0 (List.assoc_opt ("server." ^ name) o.o_counters) in
-  {
-    r_installs = c "install";
-    r_replaces = c "replace";
-    r_evictions = c "evict";
-    r_cap_evictions = c "evict_capacity";
-    r_live = c "live_regions";
-    r_slabs_live = c "arena.live_slabs";
-    r_slabs_free = c "arena.free_slabs";
-    r_bump_words = c "arena.bump_words";
-    r_hits = c "lookup.hit";
-    r_misses = c "lookup.miss";
-  }
+let section tel ~prefix rows =
+  List.map (fun (key, label, c) -> (key, label, count tel (prefix ^ c))) rows
 
-let registry_active (r : registry) = r.r_installs > 0 || r.r_live > 0
+let side_exit_rate tel ~port =
+  let execs = count tel (port ^ ".region_execs") in
+  if execs = 0 then 0.0
+  else 100.0 *. float_of_int (count tel (port ^ ".region_side_exits")) /. float_of_int execs
 
-let measure (module P : W.PORT) ~workload ~mode ~iters =
+let measure (module P : W.PORT) ~workload ~mode ~iters ~runs ~top =
   let predecode, blocks, regions = W.mode_exn ~tool:"vprof" mode in
   let tel = Tel.create () in
+  let tl = Timeline.create ~every:timeline_every ~rows:4096 () in
   let m = P.create ~telemetry:tel ~predecode ~blocks ~regions () in
-  let prep = P.prepare ~tel m ~workload ~iters in
-  prep.W.run ();
-  let collect iter =
-    let acc = ref [] in
-    iter tel (fun name v -> acc := (name, v) :: !acc);
-    List.rev !acc
-  in
+  let prep = P.prepare ~tel ~timeline:tl m ~workload ~iters in
+  Timeline.sample_now tl;
+  for _ = 1 to runs do
+    prep.W.run ()
+  done;
+  Timeline.sample_now tl;
   {
-    o_insns = P.insns m;
-    o_cycles = P.cycles m;
-    o_hot = P.hot_blocks ~limit:max_int m;
-    o_disasm = (fun addr -> P.disasm ~word:(Vmachine.Mem.read_u32 (P.mem m) addr) ~addr);
-    o_counters = collect Tel.iter_counters;
-    o_dists = collect Tel.iter_dists;
-    o_events_seen = Tel.events_seen tel;
+    insns = P.insns m;
+    cycles = P.cycles m;
+    hot = P.hot_blocks ~limit:max_int m;
+    disasm = (fun addr -> P.disasm ~word:(Vmachine.Mem.read_u32 (P.mem m) addr) ~addr);
+    tenants = prep.W.top ~k:top;
+    tel;
+    tl;
   }
 
-let report ~port ~workload ~mode ~iters ~top (o : outcome) =
-  Printf.printf "vprof: %s on %s, %s mode (%d iterations)\n" workload port mode iters;
-  Printf.printf "  %d simulated instructions retired in %d cycles\n\n" o.o_insns o.o_cycles;
+let print_rows rows = List.iter (fun (_, label, v) -> Printf.printf "  %-28s %12d\n" label v) rows
+
+let report ~port ~workload ~mode ~iters ~runs ~top o =
+  Printf.printf "vprof: %s on %s, %s mode (%d iterations%s)\n" workload port mode iters
+    (if runs > 1 then Printf.sprintf ", %d runs" runs else "");
+  Printf.printf "  %d simulated instructions retired in %d cycles\n\n" o.insns o.cycles;
   (* hottest compiled superblocks *)
-  (match o.o_hot with
+  (match o.hot with
   | [] ->
     Printf.printf "hot blocks: none (superblock mode off or nothing compiled)\n"
   | all ->
@@ -179,150 +147,149 @@ let report ~port ~workload ~mode ~iters ~top (o : outcome) =
       (fun (addr, n) ->
         Printf.printf "  0x%08x %12d %6.1f%%  %s\n" addr n
           (100.0 *. float_of_int n /. float_of_int total)
-          (o.o_disasm addr))
+          (o.disasm addr))
       shown);
-  (* the four-tier dispatch profile *)
-  let t = tiers_of o ~port in
   Printf.printf "\ntiers:\n";
-  Printf.printf "  %-28s %12d\n" "block execs (tier 2)" t.t_block_execs;
-  Printf.printf "  %-28s %12d\n" "block chains" t.t_block_chains;
-  Printf.printf "  %-28s %12d\n" "region execs (tier 3)" t.t_region_execs;
-  Printf.printf "  %-28s %12d\n" "region promotions" t.t_promotions;
-  Printf.printf "  %-28s %12d\n" "region invalidations" t.t_invalidations;
-  Printf.printf "  %-28s %12d (%.1f%% of region execs)\n" "region side exits"
-    t.t_side_exits (side_exit_rate t);
-  (* the code-region registry (router workload only) *)
-  let r = registry_of o in
-  if registry_active r then begin
+  print_rows (section o.tel ~prefix:(port ^ ".") tier_rows);
+  Printf.printf "  %-28s %11.1f%% of region execs\n" "side-exit rate"
+    (side_exit_rate o.tel ~port);
+  if count o.tel "server.install" > 0 || count o.tel "server.live_regions" > 0 then begin
     Printf.printf "\nregistry:\n";
-    Printf.printf "  %-28s %12d\n" "installs" r.r_installs;
-    Printf.printf "  %-28s %12d\n" "replaces" r.r_replaces;
-    Printf.printf "  %-28s %12d\n" "evictions" r.r_evictions;
-    Printf.printf "  %-28s %12d\n" "capacity evictions" r.r_cap_evictions;
-    Printf.printf "  %-28s %12d\n" "live regions" r.r_live;
-    Printf.printf "  %-28s %12d live / %d free\n" "arena slabs" r.r_slabs_live
-      r.r_slabs_free;
-    Printf.printf "  %-28s %12d\n" "arena bump words" r.r_bump_words;
-    Printf.printf "  %-28s %12d hit / %d miss\n" "lookups" r.r_hits r.r_misses
+    print_rows (section o.tel ~prefix:"server." registry_rows);
+    Printf.printf "\nhottest tenants (top %d of keys seen, by total classification time):\n" top;
+    if o.tenants = [] then Printf.printf "  none (no packets classified)\n"
+    else begin
+      Printf.printf "  %-10s %9s %12s %9s %9s\n" "key" "packets" "total_ns" "avg_ns" "max_ns";
+      List.iter
+        (fun (key, pkts, total, mx) ->
+          Printf.printf "  %-10d %9d %12d %9d %9d\n" key pkts total (total / max 1 pkts) mx)
+        o.tenants
+    end
   end;
   (* counters, largest first *)
-  let cs = List.filter (fun (_, v) -> v > 0) o.o_counters in
-  let cs = List.sort (fun (_, a) (_, b) -> compare b a) cs in
+  let cs = ref [] in
+  Tel.iter_counters o.tel (fun k v -> if v > 0 then cs := (k, v) :: !cs);
   Printf.printf "\ncounters (nonzero, largest first):\n";
-  List.iter (fun (k, v) -> Printf.printf "  %-36s %12d\n" k v) cs;
+  List.iter
+    (fun (k, v) -> Printf.printf "  %-36s %12d\n" k v)
+    (List.stable_sort (fun (_, a) (_, b) -> compare b a) (List.rev !cs));
   (* distribution summaries, with interpolated tail percentiles and a
      log2-bucket sparkline *)
   Printf.printf "\ndistributions:\n";
-  List.iter
-    (fun (k, (st : Tel.dist_stats)) ->
+  Tel.iter_dists o.tel (fun k (st : Tel.dist_stats) ->
       if st.Tel.count > 0 then begin
+        let q = Tel.quantile_of_stats st in
         Printf.printf
-          "  %-28s count %-9d min %-6d max %-6d avg %-9.1f p50 %-6d p99 %-6d p999 %d\n" k
-          st.Tel.count st.Tel.min st.Tel.max
+          "  %-28s count %-9d min %-6d max %-6d avg %-9.1f p50 %-6d p90 %-6d p99 %-6d p999 %d\n"
+          k st.Tel.count st.Tel.min st.Tel.max
           (float_of_int st.Tel.sum /. float_of_int st.Tel.count)
-          (Tel.quantile_of_stats st 0.5) (Tel.quantile_of_stats st 0.99)
-          (Tel.quantile_of_stats st 0.999);
-        Printf.printf "  %-28s %s\n" "" (spark st)
-      end)
-    o.o_dists;
-  Printf.printf "\nevents recorded: %d\n" o.o_events_seen
+          (q 0.5) (q 0.9) (q 0.99) (q 0.999);
+        Printf.printf "  %-28s %s\n" "" (R.spark st)
+      end);
+  Printf.printf
+    "\ntimeline: %d samples (%d retained, %d dropped), every %d ticks, %d ticks total\n"
+    (Timeline.samples_seen o.tl) (Timeline.retained o.tl) (Timeline.dropped o.tl)
+    (Timeline.every o.tl) (Timeline.ticks o.tl);
+  Printf.printf "  gauges: %s\n" (String.concat ", " (Timeline.gauge_names o.tl));
+  Printf.printf "events recorded: %d\n" (Tel.events_seen o.tel)
 
-let write_json path ~port ~workload ~mode ~iters ~top (o : outcome) =
-  let oc = open_out path in
-  Printf.fprintf oc "{\n  \"schema\": %d,\n  \"tool\": \"vprof\",\n" json_schema_version;
-  Printf.fprintf oc "  \"port\": \"%s\",\n  \"mode\": \"%s\",\n  \"workload\": \"%s\",\n"
-    (json_escape port) (json_escape mode) (json_escape workload);
-  Printf.fprintf oc "  \"iters\": %d,\n  \"insns\": %d,\n  \"cycles\": %d,\n" iters
-    o.o_insns o.o_cycles;
-  let hot = List.filteri (fun i _ -> i < top) o.o_hot in
-  output_string oc "  \"hot_blocks\": [";
-  List.iteri
-    (fun i (addr, n) ->
-      Printf.fprintf oc "%s\n    { \"entry\": %d, \"execs\": %d, \"disasm\": \"%s\" }"
-        (if i > 0 then "," else "") addr n
-        (json_escape (o.o_disasm addr)))
-    hot;
-  output_string oc (if hot = [] then "],\n" else "\n  ],\n");
-  let emit_obj key kvs payload =
-    Printf.fprintf oc "  \"%s\": {" key;
-    List.iteri
-      (fun i (k, v) ->
-        Printf.fprintf oc "%s\n    \"%s\": %s" (if i > 0 then "," else "")
-          (json_escape k) (payload v))
-      kvs;
-    output_string oc (if kvs = [] then "},\n" else "\n  },\n")
-  in
-  let t = tiers_of o ~port in
-  Printf.fprintf oc
-    "  \"tiers\": { \"block_execs\": %d, \"block_chains\": %d, \"region_execs\": %d, \
-     \"region_promotions\": %d, \"region_invalidations\": %d, \"region_side_exits\": %d, \
-     \"side_exit_rate\": %.4f },\n"
-    t.t_block_execs t.t_block_chains t.t_region_execs t.t_promotions t.t_invalidations
-    t.t_side_exits (side_exit_rate t);
-  let r = registry_of o in
-  Printf.fprintf oc
-    "  \"registry\": { \"installs\": %d, \"replaces\": %d, \"evictions\": %d, \
-     \"capacity_evictions\": %d, \"live_regions\": %d, \"slabs_live\": %d, \
-     \"slabs_free\": %d, \"bump_words\": %d, \"lookup_hits\": %d, \"lookup_misses\": %d },\n"
-    r.r_installs r.r_replaces r.r_evictions r.r_cap_evictions r.r_live r.r_slabs_live
-    r.r_slabs_free r.r_bump_words r.r_hits r.r_misses;
-  emit_obj "counters" o.o_counters string_of_int;
-  emit_obj "dists" o.o_dists (fun (st : Tel.dist_stats) ->
-      Printf.sprintf
-        "{ \"count\": %d, \"sum\": %d, \"min\": %d, \"max\": %d, \"p50\": %d, \"p90\": %d, \
-         \"p99\": %d, \"p999\": %d }"
-        st.Tel.count st.Tel.sum st.Tel.min st.Tel.max
-        (Tel.quantile_of_stats st 0.5) (Tel.quantile_of_stats st 0.9)
-        (Tel.quantile_of_stats st 0.99) (Tel.quantile_of_stats st 0.999));
-  Printf.fprintf oc "  \"events_seen\": %d\n}\n" o.o_events_seen;
-  close_out oc;
+let write_json path ~port ~workload ~mode ~iters ~runs ~top o =
+  let ints rows = List.map (fun (k, _, v) -> (k, R.Int v)) rows in
+  let tl = o.tl in
+  R.to_file path
+    (R.Obj
+       ([
+          ("schema", R.Int json_schema_version);
+          ("tool", R.Str "vprof");
+          ("port", R.Str port);
+          ("mode", R.Str mode);
+          ("workload", R.Str workload);
+          ("iters", R.Int iters);
+          ("runs", R.Int runs);
+          ("insns", R.Int o.insns);
+          ("cycles", R.Int o.cycles);
+          ( "hot_blocks",
+            R.Arr
+              (List.filteri (fun i _ -> i < top) o.hot
+              |> List.map (fun (addr, n) ->
+                     R.Obj
+                       [ ("entry", R.Int addr); ("execs", R.Int n); ("disasm", R.Str (o.disasm addr)) ]))
+          );
+          ( "tiers",
+            R.Obj
+              (ints (section o.tel ~prefix:(port ^ ".") tier_rows)
+              @ [ ("side_exit_rate", R.Float (side_exit_rate o.tel ~port)) ]) );
+          ("registry", R.Obj (ints (section o.tel ~prefix:"server." registry_rows)));
+        ]
+       @ R.telemetry o.tel
+       @ [
+           ( "tenants",
+             R.Arr
+               (List.map
+                  (fun (key, pkts, total, mx) ->
+                    R.Obj
+                      [ ("key", R.Int key); ("packets", R.Int pkts); ("total_ns", R.Int total);
+                        ("max_ns", R.Int mx) ])
+                  o.tenants) );
+           ( "timeline",
+             R.Obj
+               [
+                 ("every", R.Int (Timeline.every tl));
+                 ("ticks", R.Int (Timeline.ticks tl));
+                 ("samples", R.Int (Timeline.samples_seen tl));
+                 ("retained", R.Int (Timeline.retained tl));
+                 ("dropped", R.Int (Timeline.dropped tl));
+                 ("gauges", R.Arr (List.map (fun n -> R.Str n) (Timeline.gauge_names tl)));
+               ] );
+         ]));
   Printf.printf "\nwrote %s\n" path
+
+let write_perfetto path ~port ~workload ~mode o =
+  let b = Buffer.create 65536 in
+  Chrome_trace.write_timeline b ~port ~mode ~workload o.tl o.tel;
+  let oc = open_out path in
+  Buffer.output_buffer oc b;
+  close_out oc;
+  let gauges = List.length (Timeline.gauge_names o.tl) in
+  Printf.printf "wrote %s (%d counter samples over %d gauges)\n" path
+    (Timeline.retained o.tl * gauges) gauges
 
 (* ------------------------------------------------------------------ *)
 (* Command line                                                        *)
 
 open Cmdliner
 
-let port_arg =
-  Arg.(value & opt string "mips" & info [ "p"; "port" ] ~docv:"PORT" ~doc:"mips|sparc|alpha|ppc")
+let runs_arg =
+  Arg.(value & opt int 1 & info [ "runs" ] ~docv:"N" ~doc:"workload passes to run")
 
-let workload_arg =
+let top_arg =
   Arg.(
-    value
-    & opt string "dpf-classify"
-    & info [ "w"; "workload" ] ~docv:"WORKLOAD"
-        ~doc:"dpf-classify|table4-ash|alu-loop|region-loop|router")
+    value & opt int 10
+    & info [ "top" ] ~docv:"K" ~doc:"hot blocks and (router) hottest tenants to report")
 
-let mode_arg =
-  Arg.(
-    value
-    & opt string "blocks"
-    & info [ "m"; "mode" ] ~docv:"MODE" ~doc:"off|predecode|blocks|regions")
+let file_arg name doc = Arg.(value & opt (some string) None & info [ name ] ~docv:"FILE" ~doc)
 
-let top_arg = Arg.(value & opt int 10 & info [ "top" ] ~docv:"N" ~doc:"hot-block rows to print")
-
-let iters_arg =
-  Arg.(value & opt int 1000 & info [ "iters" ] ~docv:"N" ~doc:"workload iterations")
-
-let json_arg =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "json" ] ~docv:"FILE" ~doc:"also write the report as JSON (schema 4)")
-
-let main port workload mode top iters json =
+let main port workload mode iters runs top json perfetto =
   let p = W.port_exn ~tool:"vprof" port in
-  let workload = W.workload_exn ~tool:"vprof" workload in
-  ignore (W.mode_exn ~tool:"vprof" mode);
-  let o = measure p ~workload ~mode ~iters in
-  report ~port ~workload ~mode ~iters ~top o;
-  match json with
-  | None -> ()
-  | Some path -> write_json path ~port ~workload ~mode ~iters ~top o
+  let workload = W.workload_exn ~tool:"vprof" p workload in
+  let runs = max 1 runs in
+  let o = measure p ~workload ~mode ~iters ~runs ~top in
+  report ~port ~workload ~mode ~iters ~runs ~top o;
+  Option.iter (fun path -> write_json path ~port ~workload ~mode ~iters ~runs ~top o) json;
+  Option.iter (fun path -> write_perfetto path ~port ~workload ~mode o) perfetto
 
 let () =
   let info = Cmd.info "vprof" ~doc:"telemetry profiler for the simulated workloads" in
   let term =
-    Term.(const main $ port_arg $ workload_arg $ mode_arg $ top_arg $ iters_arg $ json_arg)
+    Term.(
+      const main $ Cli.port
+      $ Cli.workload ~default:"dpf-classify"
+      $ Cli.mode
+      $ Cli.iters ~default:1000
+      $ runs_arg $ top_arg
+      $ file_arg "json"
+          (Printf.sprintf "also write the report as JSON (schema %d)" json_schema_version)
+      $ file_arg "perfetto"
+          "write the counter/instant timeline as Chrome trace_event JSON (Perfetto)")
   in
   exit (Cmd.eval (Cmd.v info term))

@@ -78,7 +78,7 @@ let symbolize regions pc =
 
 let capture port workload mode iters cap fuel bin json =
   let p = W.port_exn ~tool:"vtrace" port in
-  let workload = W.workload_exn ~tool:"vtrace" workload in
+  let workload = W.workload_exn ~tool:"vtrace" p workload in
   let tr, regions, abort = traced_run p ~workload ~mode ~iters ~cap ~fuel () in
   Printf.printf "vtrace: %s on %s, %s mode (%d iterations)\n" workload port mode iters;
   Printf.printf "  %d records seen, %d retained, %d dropped (ring 2^%d)\n" (Trace.seen tr)
@@ -132,7 +132,7 @@ let stream_context label regions (pcs : int array) ~ordinal ~context =
 
 let diff port workload mode_a mode_b iters cap fuel inject context =
   let p = W.port_exn ~tool:"vtrace" port in
-  let workload = W.workload_exn ~tool:"vtrace" workload in
+  let workload = W.workload_exn ~tool:"vtrace" p workload in
   (* A corrupted run can spin until fuel runs out; if that overflows
      the trace ring, the head of the stream — where the true first
      divergence lives — is lost.  Clamp the per-call budget well under
@@ -177,18 +177,8 @@ let diff port workload mode_a mode_b iters cap fuel inject context =
 
 open Cmdliner
 
-let port_arg =
-  Arg.(value & opt string "mips" & info [ "p"; "port" ] ~docv:"PORT" ~doc:"mips|sparc|alpha|ppc")
-
-let workload_arg =
-  Arg.(
-    value
-    & opt string "alu-loop"
-    & info [ "w"; "workload" ] ~docv:"WORKLOAD"
-        ~doc:"dpf-classify|table4-ash|alu-loop|region-loop")
-
-let iters_arg =
-  Arg.(value & opt int 200 & info [ "iters" ] ~docv:"N" ~doc:"workload iterations")
+let workload_arg = Cli.workload ~default:"alu-loop"
+let iters_arg = Cli.iters ~default:200
 
 let cap_arg =
   Arg.(
@@ -201,11 +191,6 @@ let fuel_arg =
     & info [ "fuel" ] ~docv:"N" ~doc:"per-call instruction budget (bounds corrupted runs)")
 
 let capture_cmd =
-  let mode_arg =
-    Arg.(
-      value & opt string "blocks"
-      & info [ "m"; "mode" ] ~docv:"MODE" ~doc:"off|predecode|blocks|regions")
-  in
   let bin_arg =
     Arg.(
       value & opt (some string) None & info [ "bin" ] ~docv:"FILE" ~doc:"binary trace output")
@@ -219,7 +204,7 @@ let capture_cmd =
   Cmd.v
     (Cmd.info "capture" ~doc:"run one traced workload and export the ring")
     Term.(
-      const capture $ port_arg $ workload_arg $ mode_arg $ iters_arg $ cap_arg $ fuel_arg
+      const capture $ Cli.port $ workload_arg $ Cli.mode $ iters_arg $ cap_arg $ fuel_arg
       $ bin_arg $ json_arg)
 
 let diff_cmd =
@@ -242,7 +227,7 @@ let diff_cmd =
     (Cmd.info "diff"
        ~doc:"run two engine modes and report the first retired-instruction divergence")
     Term.(
-      const diff $ port_arg $ workload_arg $ mode_a_arg $ mode_b_arg $ iters_arg $ cap_arg
+      const diff $ Cli.port $ workload_arg $ mode_a_arg $ mode_b_arg $ iters_arg $ cap_arg
       $ fuel_arg $ inject_arg $ context_arg)
 
 let () =

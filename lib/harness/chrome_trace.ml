@@ -1,6 +1,6 @@
 (* Shared Chrome trace_event "JSON object format" writer (Perfetto /
    chrome://tracing loadable), factored out of Trace so vtrace's
-   retired-instruction export and vstat's timeline export emit through
+   retired-instruction export and vprof's timeline export emit through
    one code path.
 
    The format: a top-level object whose [traceEvents] array Perfetto
@@ -13,42 +13,23 @@ module Tel = Vmachine.Telemetry
 module Trace = Vmachine.Trace
 module Timeline = Vmachine.Timeline
 
-let json_escape b s =
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | c when Char.code c < 0x20 -> Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s
-
 type w = { b : Buffer.t; mutable emitted : int }
 
 (* Open the top-level object: schema and tool first, then string and
    int metadata in caller order, then the traceEvents array.  [finish]
    closes both. *)
 let start b ~tool ~schema ~meta ~meta_ints =
+  let str v = Report.Str v and int v = Report.Int v in
   Buffer.add_string b "{";
-  Buffer.add_string b (Printf.sprintf "\"schema\": %d, " schema);
-  Buffer.add_string b "\"tool\": \"";
-  json_escape b tool;
-  Buffer.add_string b "\", ";
   List.iter
     (fun (k, v) ->
-      Buffer.add_string b "\"";
-      json_escape b k;
-      Buffer.add_string b "\": \"";
-      json_escape b v;
-      Buffer.add_string b "\", ")
-    meta;
-  List.iter
-    (fun (k, v) ->
-      Buffer.add_string b "\"";
-      json_escape b k;
-      Buffer.add_string b (Printf.sprintf "\": %d, " v))
-    meta_ints;
-  Buffer.add_string b "\"displayTimeUnit\": \"ns\", ";
+      Report.add b ~indent:0 (str k);
+      Buffer.add_string b ": ";
+      Report.add b ~indent:0 v;
+      Buffer.add_string b ", ")
+    ((("schema", int schema) :: ("tool", str tool) :: List.map (fun (k, v) -> (k, str v)) meta)
+    @ List.map (fun (k, v) -> (k, int v)) meta_ints
+    @ [ ("displayTimeUnit", str "ns") ]);
   Buffer.add_string b "\"traceEvents\": [";
   { b; emitted = 0 }
 
@@ -58,10 +39,10 @@ let start b ~tool ~schema ~meta ~meta_ints =
 let event w ~name ~ph ~ts ~tid ~extra ~args =
   if w.emitted > 0 then Buffer.add_string w.b ",";
   w.emitted <- w.emitted + 1;
-  Buffer.add_string w.b "\n  {\"name\": \"";
-  json_escape w.b name;
+  Buffer.add_string w.b "\n  {\"name\": ";
+  Report.add w.b ~indent:0 (Report.Str name);
   Buffer.add_string w.b
-    (Printf.sprintf "\", \"ph\": \"%s\", \"ts\": %d, %s\"pid\": 1, \"tid\": %d, \"args\": %s}" ph
+    (Printf.sprintf ", \"ph\": \"%s\", \"ts\": %d, %s\"pid\": 1, \"tid\": %d, \"args\": %s}" ph
        ts extra tid args)
 
 let complete w ~name ~ts ?(dur = 1) ~tid ~args () =
@@ -105,7 +86,7 @@ let write_trace b ?(symbol = fun _ -> None) ~port ~mode ~workload t =
   finish w
 
 (* ------------------------------------------------------------------ *)
-(* vstat: the merged gauge-timeline + telemetry-event export           *)
+(* vprof: the merged gauge-timeline + telemetry-event export           *)
 
 let timeline_schema_version = 1
 
@@ -115,9 +96,9 @@ let timeline_schema_version = 1
    "i" events at ts = the event's global ordinal.  The two share the
    work-ordinal axis: for the router one packet is one tick, so ring
    events land amid the counter samples they perturbed. *)
-let write_timeline b ?(tool = "vstat") ~port ~mode ~workload tl tel =
+let write_timeline b ~port ~mode ~workload tl tel =
   let w =
-    start b ~tool ~schema:timeline_schema_version
+    start b ~tool:"vprof" ~schema:timeline_schema_version
       ~meta:[ ("port", port); ("mode", mode); ("workload", workload) ]
       ~meta_ints:
         [

@@ -1,6 +1,6 @@
 (** Shared Chrome trace_event "JSON object format" writer (Perfetto /
     chrome://tracing loadable): vtrace's retired-instruction export
-    and vstat's gauge-timeline export emit through this one code path.
+    and vprof's gauge-timeline export emit through this one code path.
 
     The low-level surface ({!start} .. {!finish}) appends a top-level
     object with schema/tool/metadata keys and a [traceEvents] array;
@@ -54,10 +54,9 @@ val timeline_schema_version : int
     units of work — packets, runs), and the {!Vmachine.Telemetry}
     event ring becomes "i" events at [ts =] each event's global
     ordinal, so ring events land amid the counter samples they
-    perturbed.  [tool] defaults to ["vstat"]. *)
+    perturbed.  The export's ["tool"] is ["vprof"]. *)
 val write_timeline :
   Buffer.t ->
-  ?tool:string ->
   port:string ->
   mode:string ->
   workload:string ->

@@ -33,6 +33,8 @@ type code_region = {
 type prepared = {
   run : unit -> unit; (* one full workload pass; re-runnable *)
   regions : code_region list;
+  top : k:int -> (int * int * int * int) list;
+      (* the router's [rt_top]; empty for the other workloads *)
 }
 
 (* The synthetic router: a {!Vserver.Server} registry of compiled DPF
@@ -164,9 +166,19 @@ module type PORT = sig
   (** generate + install the named workload's code into [m]; [iters]
       is baked into the returned closure.  [tel] receives the
       generation-cost note ({!Tel.note_gen}); [provenance] runs the
-      generators with emit-site provenance tables on. *)
+      generators with emit-site provenance tables on.  [timeline]
+      receives the engine gauges (the router adds its registry
+      gauges) and one tick per unit of work: a packet on the router,
+      a [run] call otherwise. *)
   val prepare :
-    ?tel:Tel.t -> ?provenance:bool -> ?fuel:int -> m -> workload:string -> iters:int -> prepared
+    ?tel:Tel.t ->
+    ?timeline:Timeline.t ->
+    ?provenance:bool ->
+    ?fuel:int ->
+    m ->
+    workload:string ->
+    iters:int ->
+    prepared
 end
 
 (* the per-simulator surface [Make_port] needs: the shared engine
@@ -281,6 +293,11 @@ module Make_port (T : Target.S) (S : SIM) : PORT = struct
   let install m (c : Vcode.code) =
     Vmachine.Mem.install_code (mem m) ~addr:c.Vcode.base c.Vcode.gen.Gen.buf
 
+  let engine_gauges ~tel ~timeline m =
+    Timeline.gauge timeline "engine.blocks.resident" (fun () -> fst (resident m));
+    Timeline.gauge timeline "engine.regions.resident" (fun () -> snd (resident m));
+    Timeline.gauge timeline "tel.events_seen" (fun () -> Tel.events_seen tel)
+
   (* The router workload.  Keys are monotonic endpoint ids; the live
      set is the sliding window [oldest, next_key).  Each packet picks a
      key (skewed 3:1 toward the newest quarter — new connections are
@@ -300,12 +317,8 @@ module Make_port (T : Target.S) (S : SIM) : PORT = struct
        server, per-tier resident translations and the event-ring total
        from the engine.  One tick per packet (below), so counter
        tracks plot against the packet ordinal. *)
-    if Timeline.is_enabled timeline then begin
-      List.iter (fun (n, f) -> Timeline.gauge timeline n f) (SV.gauge_sources sv);
-      Timeline.gauge timeline "engine.blocks.resident" (fun () -> fst (resident m));
-      Timeline.gauge timeline "engine.regions.resident" (fun () -> snd (resident m));
-      Timeline.gauge timeline "tel.events_seen" (fun () -> Tel.events_seen tel)
-    end;
+    List.iter (fun (n, f) -> Timeline.gauge timeline n f) (SV.gauge_sources sv);
+    engine_gauges ~tel ~timeline m;
     Dpf.Packet.install mem ~addr:pkt_addr (Dpf.Packet.tcp ());
     let next_key = ref 0 and oldest = ref 0 and drops = ref 0 in
     let tel_on = Tel.is_enabled tel in
@@ -415,7 +428,9 @@ module Make_port (T : Target.S) (S : SIM) : PORT = struct
           |> List.filteri (fun i _ -> i < k));
     }
 
-  let prepare ?(tel = Tel.disabled) ?(provenance = false) ?fuel m ~workload ~iters =
+  let no_top ~k:_ = []
+
+  let prepare_workload ~tel ~timeline ~provenance ?fuel m ~workload ~iters =
     (* the generators create their own [Gen.t]s behind [lambda], so
        provenance is requested through the process-wide default; it is
        restored before any simulated code runs *)
@@ -445,7 +460,7 @@ module Make_port (T : Target.S) (S : SIM) : PORT = struct
             failwith "dpf-classify: misclassified packet"
         done
       in
-      { run; regions = [ region "dpf" c.Dpf.code ] }
+      { run; regions = [ region "dpf" c.Dpf.code ]; top = no_top }
     | "table4-ash" ->
       (* the Table 4 fixture: the dynamically composed copy+checksum
          pipeline over 8KB; [iters] scales the number of passes *)
@@ -460,13 +475,13 @@ module Make_port (T : Target.S) (S : SIM) : PORT = struct
           ignore (call_ints ?fuel m ~entry:code.Vcode.entry_addr [ dst_addr; src_addr; nwords ])
         done
       in
-      { run; regions = [ region "ash" code ] }
+      { run; regions = [ region "ash" code ]; top = no_top }
     | "alu-loop" ->
       let code = generate gen_loop in
       Tel.note_gen tel ~prefix:"loop" code.Vcode.gen;
       install m code;
       let run () = ignore (call_ints ?fuel m ~entry:code.Vcode.entry_addr [ iters ]) in
-      { run; regions = [ region "loop" code ] }
+      { run; regions = [ region "loop" code ]; top = no_top }
     | "region-loop" ->
       (* [iters] counts inner-loop iterations like alu-loop, so the
          bench's insns/sec rates are comparable across workloads *)
@@ -475,19 +490,20 @@ module Make_port (T : Target.S) (S : SIM) : PORT = struct
       install m code;
       let outer = max 1 (iters / 64) in
       let run () = ignore (call_ints ?fuel m ~entry:code.Vcode.entry_addr [ outer ]) in
-      { run; regions = [ region "rloop" code ] }
+      { run; regions = [ region "rloop" code ]; top = no_top }
     | "router" ->
       (* registry churn fixture: [iters] packets over a filter table
          sized to the packet count (16..4096 filters), one churn
          (evict oldest + install fresh) every 32 packets *)
-      let r = router ~tel ?fuel m in
+      let r = router ~tel ~timeline ?fuel m in
       let nf = max 16 (min 4096 (iters / 4)) in
+      Timeline.sample_now timeline; (* baseline row before any install *)
       r.rt_install ~n:nf ~batched:true;
       let run () =
         r.rt_packets ~n:iters ~churn_every:32;
         r.rt_sync ()
       in
-      { run; regions = [] }
+      { run; regions = []; top = r.rt_top }
     | w when is_asm_workload w ->
       (* an external corpus program: assemble with Vasm, load the word
          image, and call [main] with [iters] as the single argument —
@@ -511,8 +527,18 @@ module Make_port (T : Target.S) (S : SIM) : PORT = struct
       in
       load_asm_image (mem m) img;
       let run () = ignore (call_ints ?fuel m ~entry:img.Vasm.entry [ iters ] : int) in
-      { run; regions = [] }
+      { run; regions = []; top = no_top }
     | w -> Printf.ksprintf failwith "unknown workload %S" w
+
+  let prepare ?(tel = Tel.disabled) ?(timeline = Timeline.disabled) ?(provenance = false) ?fuel
+      m ~workload ~iters =
+    if workload = "router" || not (Timeline.is_enabled timeline) then
+      prepare_workload ~tel ~timeline ~provenance ?fuel m ~workload ~iters
+    else begin
+      engine_gauges ~tel ~timeline m;
+      let p = prepare_workload ~tel ~timeline ~provenance ?fuel m ~workload ~iters in
+      { p with run = (fun () -> p.run (); Timeline.tick timeline) }
+    end
 end
 
 (* the four simulators as [SIM]s (also used by the test harnesses) *)
@@ -570,13 +596,17 @@ let mode_exn ~tool name =
     Printf.eprintf "%s: unknown mode %S (%s)\n" tool name (String.concat "|" mode_names);
     exit 1
 
-let workload_exn ~tool name =
+let workload_exn ~tool (module P : PORT) name =
   if List.mem name workload_names then name
   else if is_asm_workload name then begin
-    (* validate the corpus program now for a located CLI error rather
-       than a failwith out of [prepare] *)
+    (* validate the corpus program and its port now for a located CLI
+       error rather than a failwith out of [prepare] *)
     let prog = String.sub name 4 (String.length name - 4) in
     match corpus_path prog with
+    | Some _ when P.name <> "mips" ->
+      Printf.eprintf "%s: corpus program %S is MIPS assembly; port %s cannot run it\n" tool
+        prog P.name;
+      exit 1
     | Some _ -> name
     | None ->
       Printf.eprintf "%s: unknown corpus program %S (available: %s)\n" tool prog

@@ -102,7 +102,7 @@ val dist_stats : t -> dist -> dist_stats
 val quantile : t -> dist -> float -> int
 
 (** the same estimator over an already-extracted {!dist_stats} (used
-    by readers like vprof/vstat that have only the stats record) *)
+    by readers like vprof that have only the stats record) *)
 val quantile_of_stats : dist_stats -> float -> int
 
 val iter_counters : t -> (string -> int -> unit) -> unit

@@ -8,7 +8,7 @@
     stamped with the tick ordinal; once full, new rows overwrite the
     oldest ({!samples_seen} keeps the true total, so {!dropped} is
     exact).  Exported as Perfetto [counter] tracks by
-    [Chrome_trace.write_timeline] in the harness.
+    [Chrome_trace.write_timeline] in the harness ([vprof --perfetto]).
 
     The {!disabled} timeline never samples: gauges are closures, so
     (unlike Telemetry's branch-free stores) sampling must be gated —
