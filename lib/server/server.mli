@@ -18,8 +18,10 @@
     depend on the registry knowing which engine tiers exist.
 
     Keys are client-chosen integers (think: endpoint ids).  Lookup is
-    a sharded hash table; hotness for eviction comes from per-region
-    lookup counts, the same signal the telemetry layer reports. *)
+    one hash table from key to region; the live regions also sit in a
+    dense array, which is what capacity eviction scans.  Hotness for
+    eviction comes from per-region lookup counts, the same signal the
+    telemetry layer reports. *)
 
 module Make (T : Vcodebase.Target.S) : sig
   module DP : module type of Dpf.Make (T)
@@ -51,13 +53,11 @@ module Make (T : Vcodebase.Target.S) : sig
   (** [create mem] builds a registry whose code window is
       [\[arena_base, arena_limit)] (defaults: [0x100000] — clear of
       the harness packet buffer — up to 64KB below the top of memory,
-      clear of the stacks).  [shards] (default 16, rounded up to a
-      power of two) sizes the key-sharded table.  [max_live] caps
-      resident regions: an install beyond it first evicts the coldest
-      region, modelling a fixed code-cache budget. *)
+      clear of the stacks).  [max_live] caps resident regions: an
+      install beyond it first evicts the coldest region, modelling a
+      fixed code-cache budget. *)
   val create :
     ?tel:Vmachine.Telemetry.t ->
-    ?shards:int ->
     ?max_live:int ->
     ?arena_base:int ->
     ?arena_limit:int ->
@@ -69,19 +69,25 @@ module Make (T : Vcodebase.Target.S) : sig
       under [key] is evicted first (its slab is scrubbed through the
       watcher protocol before reuse).  Each call pays a fresh
       code-buffer allocation — the unbatched baseline.
-      @raise Failure when the filter cannot fit even after evicting
-      every other region *)
+      @raise Failure when the filter's code exceeds the largest slab
+      class, or when it cannot fit even after evicting every other
+      region.  A filter whose size estimate exceeds the largest class
+      is refused before anything is evicted or replaced.  One that
+      overflows only once compiled is refused without evicting
+      anything more, but the region it was replacing is gone. *)
   val install : t -> key:int -> Dpf.Filter.t -> int
 
   (** [install_batch t kfs] installs every (key, filter) pair reusing
       one scratch code buffer across the whole queue
       ({!Vcodebase.Codebuf.reset} between compiles), and amortizes
       capacity eviction: when the arena fills mid-batch, the remaining
-      queue's worth of coldest regions is cleared in a single scan —
-      the same (hits, epoch) eviction order as one-at-a-time installs,
-      without paying an O(live regions) rescan per install.  This is
-      the amortized path the router benchmark compares against
-      {!install}. *)
+      queue's worth of coldest regions is selected in one
+      O(live * log k) pass and dropped coldest first — the same
+      (hits, epoch, base) eviction order and slab placement as
+      one-at-a-time installs, without an O(live regions) rescan per
+      install.  This is the amortized path the router benchmark
+      compares against {!install}.  Failures are those of {!install},
+      for the pair being installed; earlier pairs stay installed. *)
   val install_batch : t -> (int * Dpf.Filter.t) list -> unit
 
   (** entry address under [key]; counts toward the region's hotness *)
@@ -91,12 +97,18 @@ module Make (T : Vcodebase.Target.S) : sig
       when the key is not resident *)
   val evict : t -> int -> bool
 
-  (** evict the coldest region (fewest hits, oldest epoch as
-      tiebreak); [false] when the registry is empty *)
+  (** evict the coldest region (fewest hits, then oldest epoch, then
+      lowest base); [false] when the registry is empty *)
   val evict_coldest : t -> bool
 
   val find : t -> int -> info option
   val live : t -> int
+
+  (** check that the key table and the dense live array hold the same
+      regions, that each region knows its array slot, that the live
+      count matches the arena's, and that no two live slabs overlap
+      @raise Failure naming the first broken invariant *)
+  val check_invariants : t -> unit
   val stats : t -> stats
   val arena_stats : t -> Arena.stats
 
@@ -114,6 +126,9 @@ module Make (T : Vcodebase.Target.S) : sig
       Latency is recorded separately: {!install}/{!install_batch} feed
       the [server.install_ns] distribution (replacements additionally
       [server.replace_ns]) and {!evict} feeds [server.evict_ns],
-      whole-path stopwatches over {!Vmachine.Telemetry.timer_start}. *)
+      whole-path stopwatches over {!Vmachine.Telemetry.timer_start}.
+      Inside them, [server.evict_scan_ns] times each capacity
+      eviction's selection scan and [server.scrub_ns] each slab
+      zero-fill. *)
   val gauge_sources : t -> (string * (unit -> int)) list
 end

@@ -237,6 +237,154 @@ let test_server_max_live () =
   check Alcotest.bool "newest resident" true (SV.lookup sv 4 <> None);
   check Alcotest.bool "oldest gone" true (SV.lookup sv 0 = None)
 
+(* A filter too big for the largest slab class must be refused before
+   it displaces anything: no capacity eviction, no lost tenant, and a
+   replacement leaves the old region under its key.  [Cmp] atoms cost
+   about 5.6 words each, so 200 of them (1127 words) fail the
+   pre-compile size estimate.  Alternating [Shift]/[Cmp] atoms cost
+   about 9 words each, so 120 of them pass the estimate (784 words) and
+   only overflow the 1024-word class once compiled. *)
+let test_server_oversized_install () =
+  let m = mk_machine () in
+  let sv = SV.create m.S.mem in
+  for k = 0 to 99 do
+    ignore (SV.install sv ~key:k (filter_for ~fid:(100 + k) ~port:(2000 + k)) : int)
+  done;
+  ignore (SV.lookup sv 3 : int option);
+  let before = (SV.stats sv, SV.find sv 3) in
+  let cmp_heavy =
+    Filter.make ~fid:999
+      (List.init 200 (fun i -> Filter.Cmp { offset = i mod 40; size = 1; mask = 0xff; value = i }))
+  in
+  let shift_heavy =
+    Filter.make ~fid:998
+      (List.init 120 (fun i ->
+           if i mod 2 = 0 then Filter.Shift { offset = 0; size = 1; mask = 0x0f; shift = 2 }
+           else Filter.Cmp { offset = 4; size = 4; mask = 0xffffffff; value = i }))
+  in
+  let refused what f =
+    (match f () with
+    | exception Failure _ -> ()
+    | _ -> Alcotest.failf "%s: oversized filter was installed" what);
+    let st, info3 = before in
+    let st' = SV.stats sv in
+    check Alcotest.int (what ^ ": live unchanged") st.SV.live st'.SV.live;
+    check Alcotest.int (what ^ ": no capacity evictions") st.SV.capacity_evictions
+      st'.SV.capacity_evictions;
+    check Alcotest.int (what ^ ": installs unchanged") st.SV.installs st'.SV.installs;
+    check Alcotest.bool (what ^ ": key 3 untouched") true (SV.find sv 3 = info3);
+    SV.check_invariants sv
+  in
+  refused "fresh key" (fun () -> SV.install sv ~key:1000 cmp_heavy);
+  refused "replace" (fun () -> SV.install sv ~key:3 cmp_heavy);
+  refused "batched" (fun () -> SV.install_batch sv [ (1000, cmp_heavy) ]);
+  refused "post-compile" (fun () -> SV.install sv ~key:1000 shift_heavy);
+  check Alcotest.int "key 3 still classifies" 103
+    (match SV.find sv 3 with
+    | Some i -> classify m ~entry:i.SV.entry ~port:2003
+    | None -> Alcotest.fail "key 3 lost")
+
+(* Capacity eviction against an independent reference: the original
+   policy, a full sort of every resident key by the (hits, epoch, base)
+   that [find] reports.  A seeded churn of lookups, explicit evicts and
+   replaces over a 500-slab arena scrambles hotness and the registry's
+   internal layout; the arena is then refilled to capacity.  The
+   reference must predict which keys a batched install and a run of
+   single installs evict, and, through the arena's LIFO free list, the
+   slab each new key lands on. *)
+let test_server_eviction_oracle () =
+  let n = 500 and batch = 64 in
+  let run seed =
+    let m = mk_machine ~predecode:false ~blocks:false () in
+    let base = 0x100000 in
+    let sv = SV.create ~arena_base:base ~arena_limit:(base + (4 * 128 * n)) m.S.mem in
+    let rs = Random.State.make [| seed |] in
+    let next = ref 0 in
+    let fresh () =
+      let k = !next in
+      incr next;
+      (k, filter_for ~fid:k ~port:(1 + (k mod 60000)))
+    in
+    let install (k, f) = ignore (SV.install sv ~key:k f : int) in
+    let resident () =
+      List.filter_map
+        (fun k -> Option.map (fun i -> (i.SV.hits, i.SV.epoch, i.SV.base, k)) (SV.find sv k))
+        (List.init !next Fun.id)
+    in
+    let coldest () = List.sort compare (resident ()) in
+    let pick_resident () =
+      let r = resident () in
+      let _, _, _, k = List.nth r (Random.State.int rs (List.length r)) in
+      k
+    in
+    SV.install_batch sv (List.init n (fun _ -> fresh ()));
+    for _ = 1 to 3000 do
+      (match Random.State.int rs 20 with
+      | 0 -> ignore (SV.evict sv (pick_resident ()) : bool)
+      | 1 ->
+        let k = pick_resident () in
+        ignore (SV.install sv ~key:k (filter_for ~fid:(10_000 + k) ~port:k) : int)
+      | _ ->
+        (* skewed toward recent keys, so hit counts spread out *)
+        let k = !next - 1 - Random.State.int rs (1 + Random.State.int rs !next) in
+        ignore (SV.lookup sv k : int option));
+      SV.check_invariants sv
+    done;
+    let cap0 = (SV.stats sv).SV.capacity_evictions in
+    while SV.live sv < n do
+      install (fresh ())
+    done;
+    check Alcotest.int "refill takes free slabs, evicts nothing" cap0
+      (SV.stats sv).SV.capacity_evictions;
+    let victims = Array.of_list (List.filteri (fun i _ -> i < batch) (coldest ())) in
+    let kfs = List.init batch (fun _ -> fresh ()) in
+    SV.install_batch sv kfs;
+    SV.check_invariants sv;
+    check Alcotest.int "batch evicted one chunk" (cap0 + batch)
+      (SV.stats sv).SV.capacity_evictions;
+    Array.iter
+      (fun (_, _, _, k) ->
+        check Alcotest.bool (Printf.sprintf "seed %d: victim %d evicted" seed k) true
+          (SV.find sv k = None))
+      victims;
+    check Alcotest.int "everyone else resident" n (SV.live sv);
+    (* victims are freed coldest first, so the LIFO free list hands the
+       coldest victim's slab out last *)
+    List.iteri
+      (fun i (k, _) ->
+        let _, _, vbase, _ = victims.(batch - 1 - i) in
+        check
+          Alcotest.(option int)
+          (Printf.sprintf "seed %d: batch key %d placement" seed k)
+          (Some vbase)
+          (Option.map (fun i -> i.SV.base) (SV.find sv k)))
+      kfs;
+    for round = 1 to 8 do
+      (* odd rounds warm every tenant but the newest, so the victim is
+         the region appended last *)
+      if round land 1 = 1 then
+        List.iter
+          (fun (_, _, _, k) -> if k <> !next - 1 then ignore (SV.lookup sv k : int option))
+          (resident ())
+      else
+        for _ = 1 to 20 do
+          ignore (SV.lookup sv (!next - 1 - Random.State.int rs 200) : int option)
+        done;
+      let _, _, vbase, vkey = List.hd (coldest ()) in
+      let ((k, _) as kf) = fresh () in
+      install kf;
+      SV.check_invariants sv;
+      check Alcotest.bool (Printf.sprintf "seed %d: single victim %d" seed vkey) true
+        (SV.find sv vkey = None);
+      check
+        Alcotest.(option int)
+        (Printf.sprintf "seed %d: key %d placement" seed k)
+        (Some vbase)
+        (Option.map (fun i -> i.SV.base) (SV.find sv k))
+    done
+  in
+  List.iter run [ 1; 2; 3 ]
+
 (* ------------------------------------------------------------------ *)
 (* Eviction-lifetime lockstep fuzz: all four engine modes              *)
 
@@ -301,14 +449,17 @@ let test_lockstep_fuzz () =
     in
     List.iter (Hashtbl.remove oracle) dead
   in
+  let check_invariants () = List.iter (fun (_, _, sv) -> SV.check_invariants sv) rigs in
   let install key =
     let f = fresh key in
     List.iter (fun (_, _, sv) -> ignore (SV.install sv ~key f : int)) rigs;
+    check_invariants ();
     reconcile ()
   in
   let evict key =
     Hashtbl.remove oracle key;
-    List.iter (fun (_, _, sv) -> ignore (SV.evict sv key : bool)) rigs
+    List.iter (fun (_, _, sv) -> ignore (SV.evict sv key : bool)) rigs;
+    check_invariants ()
   in
   let classify_all key =
     match Hashtbl.find_opt oracle key with
@@ -335,7 +486,8 @@ let test_lockstep_fuzz () =
               Alcotest.(pair int (pair int int))
               (Printf.sprintf "%s agrees with off on key %d" name key)
               res0 (run r))
-          rest)
+          rest);
+      check_invariants ()
   in
   let rs = Random.State.make [| 0x5eed; 0x5e4e4 |] in
   let live_keys () = Hashtbl.fold (fun k _ acc -> k :: acc) oracle [] |> List.sort compare in
@@ -406,6 +558,8 @@ let () =
           Alcotest.test_case "capacity eviction" `Quick test_server_capacity_eviction;
           Alcotest.test_case "bulk eviction policy" `Quick test_server_bulk_eviction_policy;
           Alcotest.test_case "max_live cap" `Quick test_server_max_live;
+          Alcotest.test_case "oversized install refused" `Quick test_server_oversized_install;
+          Alcotest.test_case "eviction matches reference" `Quick test_server_eviction_oracle;
         ] );
       ( "eviction-lifetime",
         [ Alcotest.test_case "four-mode lockstep fuzz" `Quick test_lockstep_fuzz ] );
