@@ -47,8 +47,10 @@ module R = Report
    5: folded in the former vstat report: the "runs" count, the
    per-tenant "tenants" array (router) and the "timeline" accounting
    object; written through {!Report}, so "side_exit_rate" is a
-   shortest-form number rather than four fixed decimals. *)
-let json_schema_version = 5
+   shortest-form number rather than four fixed decimals.
+   6: the "tiers" object gained the tier-up counters "cold_calls" and
+   "tier_ups". *)
+let json_schema_version = 6
 
 (* timeline sampling period, in ticks (packets on the router, runs
    otherwise) *)
@@ -69,6 +71,9 @@ type outcome = {
 (* the four-tier dispatch profile, from the port's counters *)
 let tier_rows =
   [
+    (* tier-up: calls left in the interpreter, entries gone up *)
+    ("cold_calls", "cold calls (interpreted)", "cold_calls");
+    ("tier_ups", "tier-ups", "tier_ups");
     ("block_execs", "block execs (tier 2)", "block_execs");
     ("block_chains", "block chains", "block_chains");
     ("region_execs", "region execs (tier 3)", "region_execs");

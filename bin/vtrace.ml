@@ -44,7 +44,10 @@ let traced_run (module P : W.PORT) ~workload ~mode ~iters ~cap ~fuel ?(inject_ho
   let predecode, blocks, regions = W.mode_exn ~tool:"vtrace" mode in
   let tel = Tel.create () in
   let tr = Trace.create ~capacity_pow2:cap () in
-  let m = P.create ~telemetry:tel ~trace:tr ~predecode ~blocks ~regions () in
+  (* tier-up off: the priming pass translates from the first call, so
+     a diff compares the tiers, not their shared interpreted cold
+     phase *)
+  let m = P.create ~hot_calls:0 ~telemetry:tel ~trace:tr ~predecode ~blocks ~regions () in
   let prep = P.prepare ~tel ~provenance:true ~fuel m ~workload ~iters in
   let abort = ref None in
   let pass () = try prep.W.run () with e -> abort := Some (Printexc.to_string e) in

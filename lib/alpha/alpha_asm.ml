@@ -71,6 +71,17 @@ let fop_code = function
   | Cpys -> (0x17, 0x020) | Cpysn -> (0x17, 0x021)
   | Sqrts -> (0x14, 0x08B) | Sqrtt -> (0x14, 0x0AB)
 
+let all_iops =
+  [ Addl; Addq; Subl; Subq; Cmpeq; Cmplt; Cmple; Cmpult; Cmpule;
+    And; Bic; Bis; Ornot; Xor; Eqv; Cmoveq; Cmovne; Cmovlt; Cmovge;
+    Sll; Srl; Sra; Extbl; Extwl; Insbl; Inswl; Mskbl; Mskwl;
+    Mull; Mulq; Umulh ]
+
+let all_fops =
+  [ Adds; Addt; Subs; Subt; Muls; Mult; Divs; Divt;
+    Cmpteq; Cmptlt; Cmptle; Cvtqs; Cvtqt; Cvttq; Cvtts; Cpys; Cpysn;
+    Sqrts; Sqrtt ]
+
 let fop_name = function
   | Adds -> "adds" | Addt -> "addt" | Subs -> "subs" | Subt -> "subt"
   | Muls -> "muls" | Mult -> "mult" | Divs -> "divs" | Divt -> "divt"
@@ -178,6 +189,22 @@ let nop_word = encode (Intop (Bis, 31, R 31, 31))
 let sext16 v = if v land 0x8000 <> 0 then v - 0x10000 else v
 let sext21 v = if v land 0x100000 <> 0 then v - 0x200000 else v
 
+(* The decoder's (opcode, function) -> operation tables, built once
+   from [iop_code]/[fop_code]: operate opcodes 0x10-0x13 with a 7-bit
+   function, FP opcodes 0x14-0x17 with an 11-bit one.  An unassigned
+   pair holds [None]. *)
+let iop_table =
+  let t = Array.make (4 lsl 7) None in
+  List.iter (fun o -> let op, func = iop_code o in t.(((op - 0x10) lsl 7) lor func) <- Some o)
+    all_iops;
+  t
+
+let fop_table =
+  let t = Array.make (4 lsl 11) None in
+  List.iter (fun o -> let op, func = fop_code o in t.(((op - 0x14) lsl 11) lor func) <- Some o)
+    all_fops;
+  t
+
 let decode (w : int) : t =
   let op = (w lsr 26) land 0x3F in
   let ra = (w lsr 21) land 31 in
@@ -219,26 +246,15 @@ let decode (w : int) : t =
     let rb_or_lit =
       if w land (1 lsl 12) <> 0 then L ((w lsr 13) land 0xFF) else R rb
     in
-    let find =
-      List.find_opt
-        (fun o -> iop_code o = (op, func))
-        [ Addl; Addq; Subl; Subq; Cmpeq; Cmplt; Cmple; Cmpult; Cmpule;
-          And; Bic; Bis; Ornot; Xor; Eqv; Cmoveq; Cmovne; Cmovlt; Cmovge;
-          Sll; Srl; Sra; Extbl; Extwl; Insbl; Inswl; Mskbl; Mskwl;
-          Mull; Mulq; Umulh ]
-    in
-    (match find with Some o -> Intop (o, ra, rb_or_lit, rc) | None -> raise (Bad_insn w))
+    (match Array.unsafe_get iop_table (((op - 0x10) lsl 7) lor func) with
+    | Some o -> Intop (o, ra, rb_or_lit, rc)
+    | None -> raise (Bad_insn w))
   | 0x14 | 0x16 | 0x17 ->
     let func = (w lsr 5) land 0x7FF in
     let fc = w land 31 in
-    let find =
-      List.find_opt
-        (fun o -> fop_code o = (op, func))
-        [ Adds; Addt; Subs; Subt; Muls; Mult; Divs; Divt;
-          Cmpteq; Cmptlt; Cmptle; Cvtqs; Cvtqt; Cvttq; Cvtts; Cpys; Cpysn;
-          Sqrts; Sqrtt ]
-    in
-    (match find with Some o -> Fpop (o, ra, rb, fc) | None -> raise (Bad_insn w))
+    (match Array.unsafe_get fop_table (((op - 0x14) lsl 11) lor func) with
+    | Some o -> Fpop (o, ra, rb, fc)
+    | None -> raise (Bad_insn w))
   | _ -> raise (Bad_insn w)
 
 (* ------------------------------------------------------------------ *)

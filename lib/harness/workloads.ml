@@ -121,8 +121,11 @@ module type PORT = sig
 
   val name : string
 
+  (** [hot_calls]: the engine's tier-up threshold (default
+      {!Vmachine.Engine.hot_calls}; [0] translates from the first call) *)
   val create :
     ?cfg:Vmachine.Mconfig.t ->
+    ?hot_calls:int ->
     ?telemetry:Tel.t ->
     ?trace:Trace.t ->
     predecode:bool ->
@@ -204,8 +207,9 @@ module Make_port (T : Target.S) (S : SIM) : PORT = struct
 
   let name = T.desc.Machdesc.name
 
-  let create ?(cfg = Vmachine.Mconfig.dec5000) ?telemetry ?trace ~predecode ~blocks ~regions () =
-    S.create ?telemetry ?trace ~predecode ~blocks ~regions cfg
+  let create ?(cfg = Vmachine.Mconfig.dec5000) ?hot_calls ?telemetry ?trace ~predecode ~blocks
+      ~regions () =
+    S.create ?hot_calls ?telemetry ?trace ~predecode ~blocks ~regions cfg
 
   let mem (m : m) = m.S.mem
   let insns (m : m) = m.S.insns

@@ -27,10 +27,137 @@
      the one after it (the delay slot after a branch), and [btarget] the
      control-transfer target that becomes [npc] once the slot issues;
    - no delay slot (Alpha, PPC): [btarget] is the next pc, which the
-     instruction's retirement moves into [pc]; [npc] is unused. *)
+     instruction's retirement moves into [pc]; [npc] is unused.
+
+   Tier-up.  A translating machine does not translate a call until its
+   entry has proved hot: [run] counts calls per entry pc in a sparse
+   table ([Calls]), and the first [hot_calls] calls of an entry run in
+   the port's interpreter loop with the decode cache off — no fill, no
+   block lookup, no compile.  Those calls share a budget of
+   [cold_budget] retired instructions: the call that exhausts it
+   escapes mid-call to the machine's own tier with the fuel it has
+   left, and the entry is hot from then on, so a long loop in
+   rarely-called code, or a fair amount of work in a few calls, is
+   still translated.  A write watcher forgets the counts of entries whose
+   code is rewritten, so a reused code slab starts cold.  Every tier
+   retires the same stream, so the policy moves no cycle, cache
+   statistic or architectural bit. *)
+
+(* the tier-up policy's two constants (see the header comment): cold
+   calls per entry, the same as {!Region_cache.hot_threshold}'s block
+   dispatches, and the instructions an entry's cold calls may retire
+   together before it goes up to the translating tier *)
+let hot_calls = 64
+let cold_budget = 2048
+
+(* Per-entry call counts behind the tier-up policy: a hash table keyed
+   by the 256-byte granule of a call entry, each granule listing the
+   entries [run] was called at inside it (in practice one), plus one
+   bit per granule of memory saying whether the table holds it, and
+   the conservative byte span [lo, hi) of counted entries.  The write
+   watcher dismisses a store outside the span with two comparisons, as
+   {!Block_cache.invalidate} does, and one inside it (a guest's data
+   between code) with a bit test per granule; only a write over a
+   counted entry's granule touches the table.  [last] memoizes the
+   latest cell, so a loop of calls to one entry skips the table. *)
+module Calls = struct
+  module H = Hashtbl.Make (Int)
+
+  (* [n]: cold calls so far; [left]: the entry's remaining cold budget *)
+  type cell = { entry : int; mutable n : int; mutable left : int }
+
+  type t = {
+    counts : cell list H.t;
+    marks : Bytes.t; (* bit g: granule g is in [counts] *)
+    mutable lo : int;
+    mutable hi : int;
+    mutable last : cell; (* [absent] after a forget *)
+  }
+
+  let granule_shift = 8
+  let absent = { entry = -1; n = 0; left = 0 }
+
+  let create ~mem_bytes =
+    { counts = H.create 64; marks = Bytes.make ((mem_bytes lsr granule_shift) / 8 + 1) '\000';
+      lo = max_int; hi = 0; last = absent }
+
+  (* granules past the end of memory are never marked: no write can
+     reach them *)
+  let marked t g =
+    let i = g lsr 3 in
+    i < Bytes.length t.marks && Char.code (Bytes.unsafe_get t.marks i) land (1 lsl (g land 7)) <> 0
+
+  let set_mark t g on =
+    let i = g lsr 3 in
+    if i < Bytes.length t.marks then begin
+      let b = Char.code (Bytes.get t.marks i) and bit = 1 lsl (g land 7) in
+      Bytes.set t.marks i (Char.unsafe_chr (if on then b lor bit else b land lnot bit))
+    end
+
+  let rec find_in entry = function
+    | [] -> absent
+    | c :: rest -> if c.entry = entry then c else find_in entry rest
+
+  (* the count cell of [entry], created cold *)
+  let cell t entry =
+    let l = t.last in
+    if l.entry = entry && l != absent then l
+    else begin
+      let g = entry lsr granule_shift in
+      let cs = match H.find t.counts g with cs -> cs | exception Not_found -> [] in
+      let c = find_in entry cs in
+      let c =
+        if c != absent then c
+        else begin
+          let c = { entry; n = 0; left = cold_budget } in
+          H.replace t.counts g (c :: cs);
+          set_mark t g true;
+          if entry < t.lo then t.lo <- entry;
+          if entry + 4 > t.hi then t.hi <- entry + 4;
+          c
+        end
+      in
+      t.last <- c;
+      c
+    end
+
+  let clear t =
+    H.reset t.counts;
+    Bytes.fill t.marks 0 (Bytes.length t.marks) '\000';
+    t.lo <- max_int;
+    t.hi <- 0;
+    t.last <- absent
+
+  (* Forget every entry whose first word overlaps [addr, addr+len). *)
+  let forget t addr len =
+    if len > 0 && addr < t.hi && addr + len > t.lo then begin
+      let last = addr + len in
+      let g0 = (max (addr - 3) t.lo) lsr granule_shift in
+      let g1 = (min (last - 1) (t.hi - 1)) lsr granule_shift in
+      for g = g0 to g1 do
+        if marked t g then begin
+          t.last <- absent;
+          let cs = H.find t.counts g in
+          match List.filter (fun c -> c.entry + 4 <= addr || c.entry >= last) cs with
+          | [] ->
+            H.remove t.counts g;
+            set_mark t g false
+          | kept -> if List.compare_lengths kept cs <> 0 then H.replace t.counts g kept
+        end
+      done;
+      (* an empty table has no marks left: reopen the two-comparison
+         fast path *)
+      if H.length t.counts = 0 then begin
+        t.lo <- max_int;
+        t.hi <- 0
+      end
+    end
+end
 
 module Types = struct
   exception Machine_error of string
+
+  type calls = Calls.t
 
   (* A compiled straight-line run: one closure per instruction, ending
      at the first control transfer (compiled in, together with its delay
@@ -84,6 +211,10 @@ module Types = struct
     mutable cycles : int;
     mutable insns : int;
     mutable stack_top : int;
+    hot_calls : int;          (* cold calls per entry before tier-up; 0: none *)
+    calls : calls;            (* per-entry call counts (tier-up) *)
+    mutable pdc_on : bool;    (* [pdc] consulted and filled: [predecode],
+                                 except during a cold call *)
   }
 end
 
@@ -91,6 +222,11 @@ include Types
 
 let halt_addr = 0x10000000 (* outside simulated memory: return-to-host *)
 let default_fuel = 200_000_000
+
+(* The interpreter loops' fuel exit.  [run] turns it into the
+   out-of-fuel [Machine_error], or, at the end of a cold call's budget,
+   into the escape to the translating tier. *)
+exception Fuel_exhausted
 
 let[@inline] daccess m addr =
   let p = Cache.access m.dcache addr in
@@ -109,16 +245,17 @@ let[@inline] waccess m addr = ignore (Cache.write_access m.dcache addr : int)
    functor's [fetch]. *)
 let illegal w pc = raise (Machine_error (Printf.sprintf "illegal instruction 0x%08x at 0x%x" w pc))
 
-let[@inline] cached m pc = if m.predecode then Decode_cache.find m.pdc pc else None
+let[@inline] cached m pc = if m.pdc_on then Decode_cache.find m.pdc pc else None
 
 let[@inline] remember m pc insn =
-  if m.predecode then Decode_cache.set m.pdc pc insn;
+  if m.pdc_on then Decode_cache.set m.pdc pc insn;
   insn
 
 (* The interpreter's per-instruction bookkeeping, inlined into each
    port's [run_go] recursion: [false] once control reaches [halt_addr];
-   otherwise checks fuel, makes the instruction's icache access and
-   counts it, so the port's [step_inner] (a direct call there) can run.
+   otherwise checks fuel (raising [Fuel_exhausted] at 0), makes the
+   instruction's icache access and counts it, so the port's
+   [step_inner] (a direct call there) can run.
    [step_inner] defers the 1-cycle-per-instruction component of the
    accounting to its caller; [run] adds it in bulk at exit from the
    instruction-count delta, so the hot loop carries one counter update
@@ -132,7 +269,7 @@ let[@inline] interp_ready m tags shift mask fuel =
   let pc = m.pc in
   pc <> halt_addr
   && begin
-    if fuel = 0 then raise (Machine_error "out of fuel (infinite loop?)");
+    if fuel = 0 then raise Fuel_exhausted;
     let line = pc lsr shift in
     if Array.unsafe_get tags (line land mask) <> line then
       (let p = Cache.access_uncounted m.icache pc in
@@ -190,6 +327,7 @@ module type S = sig
     ?predecode:bool ->
     ?blocks:bool ->
     ?regions:bool ->
+    ?hot_calls:int ->
     ?telemetry:Telemetry.t ->
     ?trace:Trace.t ->
     Mconfig.t ->
@@ -210,8 +348,9 @@ module Make (I : ISA) = struct
 
   let delay = I.delay_slot
 
-  let create ?(predecode = true) ?(blocks = true) ?(regions = false)
+  let create ?(predecode = true) ?(blocks = true) ?(regions = false) ?(hot_calls = hot_calls)
       ?(telemetry = Telemetry.disabled) ?(trace = Trace.disabled) (cfg : Mconfig.t) =
+    if hot_calls < 0 then invalid_arg "Engine.create: negative hot_calls";
     let mem = Mem.create ~big_endian:I.big_endian ~size:cfg.mem_bytes () in
     I.init_mem mem;
     let name what = I.name ^ "." ^ what in
@@ -222,17 +361,23 @@ module Make (I : ISA) = struct
         ~len_bytes:(fun b -> 4 * b.n) () in
     let rc = Region_cache.create ~tel:telemetry ~name:(name "rc") ~mem_bytes:cfg.mem_bytes
         ~spans:(fun r -> r.r_spans) () in
-    ignore (Mem.add_write_watcher mem (Decode_cache.invalidate pdc) : Mem.watcher);
-    ignore (Mem.add_write_watcher mem (Block_cache.invalidate bc) : Mem.watcher);
-    (* A dropped region must abort a running pass even when the
-       overwritten constituent block is no longer bc-resident (so the
-       Block_cache watcher above dropped nothing): raise bc's dirty flag
-       unconditionally and let the shared store closures raise Retired. *)
-    if regions then
-      ignore
-        (Mem.add_write_watcher mem (fun addr len ->
-             if Region_cache.invalidate rc addr len then Block_cache.mark_dirty bc)
-          : Mem.watcher);
+    (* the interpreter has no tier to go up to *)
+    let hot_calls = if predecode || blocks || regions then hot_calls else 0 in
+    let calls = Calls.create ~mem_bytes:cfg.mem_bytes in
+    let counted = hot_calls > 0 in
+    (* The coherence watcher, one closure for every host-side cache so a
+       store pays one indirect call.  A dropped region must abort a
+       running pass even when the overwritten constituent block is no
+       longer bc-resident (so [Block_cache.invalidate] dropped
+       nothing): raise bc's dirty flag unconditionally and let the
+       shared store closures raise Retired. *)
+    ignore
+      (Mem.add_write_watcher mem (fun addr len ->
+           Decode_cache.invalidate pdc addr len;
+           Block_cache.invalidate bc addr len;
+           if regions && Region_cache.invalidate rc addr len then Block_cache.mark_dirty bc;
+           if counted then Calls.forget calls addr len)
+        : Mem.watcher);
     {
       mem;
       pdc;
@@ -256,6 +401,9 @@ module Make (I : ISA) = struct
       cycles = 0;
       insns = 0;
       stack_top = cfg.mem_bytes - I.stack_reserve;
+      hot_calls;
+      calls;
+      pdc_on = predecode;
     }
 
   let fetch m pc =
@@ -758,7 +906,7 @@ module Make (I : ISA) = struct
   let rec run_blocks_go m tags shift mask fuel =
     let pc = m.pc in
     if pc <> halt_addr then begin
-      if fuel = 0 then raise (Machine_error "out of fuel (infinite loop?)");
+      if fuel = 0 then raise Fuel_exhausted;
       if (not delay) || m.npc = pc + 4 then (
         match Block_cache.find m.bc pc with
         | Some b when b.n <= fuel ->
@@ -790,7 +938,7 @@ module Make (I : ISA) = struct
   let rec run_regions_go m tags shift mask fuel =
     let pc = m.pc in
     if pc <> halt_addr then begin
-      if fuel = 0 then raise (Machine_error "out of fuel (infinite loop?)");
+      if fuel = 0 then raise Fuel_exhausted;
       if (not delay) || m.npc = pc + 4 then (
         match Region_cache.find m.rc pc with
         | Some r when r.r_n <= fuel ->
@@ -820,6 +968,50 @@ module Make (I : ISA) = struct
       end
     end
 
+  (* the tier the machine was created with *)
+  let ladder m tags shift mask fuel =
+    if m.regions then run_regions_go m tags shift mask fuel
+    else if m.blocks then run_blocks_go m tags shift mask fuel
+    else I.run_go m tags shift mask fuel
+
+  (* A cold call: the interpreter loop with the decode cache off, for
+     at most the entry's remaining cold budget.  A call that exhausts
+     it escapes to [ladder] where it stands — on a delay slot too,
+     which the ladder steps — with the fuel it has left, and the entry
+     is hot from then on; when the budget is the whole fuel, the exit
+     is the real out-of-fuel, on the same instruction as in any other
+     tier. *)
+  let run_cold m (c : Calls.cell) tags shift mask fuel =
+    let budget = c.left and i0 = m.insns in
+    m.pdc_on <- false;
+    match I.run_go m tags shift mask (min fuel budget) with
+    | () ->
+      m.pdc_on <- m.predecode;
+      c.left <- budget - (m.insns - i0)
+    | exception Fuel_exhausted when fuel > budget ->
+      m.pdc_on <- m.predecode;
+      if c.n < m.hot_calls then begin
+        c.n <- m.hot_calls;
+        Sim_probe.tier_up m.probe
+      end;
+      ladder m tags shift mask (fuel - budget)
+
+  (* The tier-up policy: an entry's first [hot_calls] calls run cold
+     (the last one counted as its tier-up) unless their budget runs out
+     first; later calls run on [ladder]. *)
+  let dispatch m tags shift mask fuel =
+    if m.hot_calls = 0 then ladder m tags shift mask fuel
+    else begin
+      let c = Calls.cell m.calls m.pc in
+      if c.Calls.n >= m.hot_calls then ladder m tags shift mask fuel
+      else begin
+        c.Calls.n <- c.Calls.n + 1;
+        Sim_probe.cold_call m.probe;
+        if c.Calls.n = m.hot_calls then Sim_probe.tier_up m.probe;
+        run_cold m c tags shift mask fuel
+      end
+    end
+
   (* Run from [m.pc] until control reaches [halt_addr]. *)
   let run ?(fuel = default_fuel) m =
     let i0 = m.insns in
@@ -834,14 +1026,14 @@ module Make (I : ISA) = struct
       Sim_probe.run_done m.probe t0
     in
     let tags, shift, mask = Cache.probe m.icache in
-    (try
-       if m.regions then run_regions_go m tags shift mask fuel
-       else if m.blocks then run_blocks_go m tags shift mask fuel
-       else I.run_go m tags shift mask fuel
+    (try dispatch m tags shift mask fuel
      with e ->
+       m.pdc_on <- m.predecode;
        finish ();
        Sim_probe.fault m.probe ~pc:m.pc;
-       raise e);
+       match e with
+       | Fuel_exhausted -> raise (Machine_error "out of fuel (infinite loop?)")
+       | e -> raise e);
     finish ()
 
   let reset_stats m =
@@ -851,7 +1043,8 @@ module Make (I : ISA) = struct
     Cache.reset_stats m.dcache
 
   (* Models v_end's icache invalidation: drop both the timing caches and
-     every predecoded instruction and translation.  (The host-side drops
+     every predecoded instruction and translation, and start every entry
+     cold again.  (The host-side drops
      are belt-and-braces — the write watchers already keep them coherent
      — and cost nothing on the simulated clock.) *)
   let flush_caches m =
@@ -859,5 +1052,6 @@ module Make (I : ISA) = struct
     Cache.flush m.dcache;
     Decode_cache.clear m.pdc;
     Block_cache.clear m.bc;
-    Region_cache.clear m.rc
+    Region_cache.clear m.rc;
+    Calls.clear m.calls
 end

@@ -5,12 +5,26 @@
     A port supplies an {!ISA} — its decoder-facing semantics — and
     [include]s [Make (Isa)], which adds fetch/predecode, superblock and
     region compilation, chaining, the self-modifying-code abort
-    protocol, the dispatch loops and the run/step harness.  The machine
-    record is concrete and shared (see {!Types.machine}) so the hot
-    loops read control-flow state as plain fields. *)
+    protocol, the dispatch loops, the run/step harness and the tier-up
+    policy.  The machine record is concrete and shared (see
+    {!Types.machine}) so the hot loops read control-flow state as plain
+    fields.
+
+    Tier-up: on a translating machine, the first {!hot_calls} calls
+    [run] makes at an entry pc run in the port's interpreter loop with
+    the decode cache off.  They share a budget of {!cold_budget}
+    retired instructions: the call that exhausts it goes up to the
+    machine's tier mid-call, and the entry is hot from then on.
+    Rewriting the code at an entry makes it cold again.  Every tier retires the same
+    stream, so the policy changes no cycle, cache statistic or
+    architectural state. *)
 
 module Types : sig
   exception Machine_error of string
+
+  (** per-entry call counts: a sparse table keyed by the entry pc's
+      256-byte granule *)
+  type calls
 
   (** a compiled straight-line run (tier 2) *)
   type block = {
@@ -57,6 +71,11 @@ module Types : sig
     mutable cycles : int;
     mutable insns : int;
     mutable stack_top : int;
+    hot_calls : int;  (** cold calls per entry before tier-up; 0: none *)
+    calls : calls;
+    mutable pdc_on : bool;
+        (** [pdc] is consulted and filled: [predecode], except during a
+            cold call *)
   }
 end
 
@@ -64,6 +83,15 @@ include module type of struct include Types end
 
 (** the return-to-host address: outside simulated memory *)
 val halt_addr : int
+
+(** the default tier-up threshold: calls an entry runs cold (64, the
+    same as {!Region_cache.hot_threshold}) *)
+val hot_calls : int
+
+(** instructions an entry's cold calls retire in all before the one
+    in flight goes up to the translating tier with the fuel it has
+    left *)
+val cold_budget : int
 
 (** The two halves of a fetch, for a port's [step_inner] to put its
     own decoder between — [match cached m pc with Some i -> i | None ->
@@ -79,7 +107,8 @@ val illegal : int -> int -> 'a
 
 (** the interpreter's per-instruction bookkeeping for a port's
     [run_go] (see {!ISA.run_go}): [false] at {!halt_addr}; otherwise
-    raises [Machine_error] when [fuel] is 0, makes the icache access of
+    raises the engine's fuel exit when [fuel] is 0 (which [run] turns
+    into the out-of-fuel [Machine_error]), makes the icache access of
     the instruction at [m.pc], traces and counts it, and returns [true] *)
 val interp_ready : ('i, 'a) machine -> int array -> int -> int -> int -> bool
 
@@ -167,10 +196,14 @@ module type S = sig
   type state
   type t = (insn, state) machine
 
+  (** [hot_calls] (default {!Engine.hot_calls}) is the tier-up
+      threshold; [0] engages the tier on an entry's first call.  It is
+      ignored on the interpreter (all tiers off). *)
   val create :
     ?predecode:bool ->
     ?blocks:bool ->
     ?regions:bool ->
+    ?hot_calls:int ->
     ?telemetry:Telemetry.t ->
     ?trace:Trace.t ->
     Mconfig.t ->
@@ -180,13 +213,15 @@ module type S = sig
   val step : t -> unit
 
   (** run from [m.pc] until control reaches {!halt_addr}, on the tier
-      the machine was created with; raises [Machine_error] when [fuel]
-      instructions retire first *)
+      the machine was created with (in the interpreter while [m.pc] is
+      a cold entry; see the tier-up note above); raises [Machine_error]
+      when [fuel] instructions retire first *)
   val run : ?fuel:int -> t -> unit
 
   val reset_stats : t -> unit
 
-  (** v_end's icache flush: timing caches plus every host-side cache *)
+  (** v_end's icache flush: timing caches plus every host-side cache;
+      every entry starts cold again *)
   val flush_caches : t -> unit
 end
 

@@ -14,6 +14,9 @@
      <port>.block_chains     direct block-to-block transitions
      <port>.region_execs     compiled-region dispatches (tier 3)
      <port>.region_side_exits  specialized-trace side exits taken
+     <port>.cold_calls       calls run in the tier-up cold phase
+     <port>.tier_ups         entries crossing the hot-call threshold,
+                             plus cold calls escaping past their budget
    Distributions:
      <port>.chain_len        blocks executed per dispatch-loop entry
      <port>.run_ns           host wall-clock nanoseconds per run call *)
@@ -29,6 +32,8 @@ type t = {
   block_chains : Telemetry.counter;
   region_execs : Telemetry.counter;
   region_side_exits : Telemetry.counter;
+  cold_calls : Telemetry.counter;
+  tier_ups : Telemetry.counter;
   chain_len : Telemetry.dist;
   run_ns : Telemetry.dist;
   mutable run_len : int; (* blocks executed since the last dispatch *)
@@ -54,6 +59,8 @@ let create ?(trace = Trace.disabled) tel ~port ~predecode ~blocks ~regions =
     block_chains = Telemetry.counter tel (port ^ ".block_chains");
     region_execs = Telemetry.counter tel (port ^ ".region_execs");
     region_side_exits = Telemetry.counter tel (port ^ ".region_side_exits");
+    cold_calls = Telemetry.counter tel (port ^ ".cold_calls");
+    tier_ups = Telemetry.counter tel (port ^ ".tier_ups");
     chain_len = Telemetry.dist tel (port ^ ".chain_len");
     run_ns = Telemetry.dist tel (port ^ ".run_ns");
     run_len = 0;
@@ -112,6 +119,11 @@ let region_exec p ~entry =
 let side_exit p ~entry ~i =
   Telemetry.bump p.tel p.region_side_exits;
   Telemetry.event p.tel Telemetry.Region_side_exit ~a:entry ~b:i
+
+(* the tier-up policy: one call run cold, and one entry or cold call
+   going up to the translating tier *)
+let[@inline] cold_call p = Telemetry.bump p.tel p.cold_calls
+let[@inline] tier_up p = Telemetry.bump p.tel p.tier_ups
 
 (* close the current chained run (next dispatch-loop iteration or run
    exit): record its length *)

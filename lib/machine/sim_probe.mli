@@ -58,6 +58,13 @@ val region_exec : t -> entry:int -> unit
     records a [Region_side_exit] event *)
 val side_exit : t -> entry:int -> i:int -> unit
 
+(** one call run in the tier-up cold phase: bumps [<port>.cold_calls] *)
+val cold_call : t -> unit
+
+(** an entry crossed the hot-call threshold, or a cold call escaped
+    past its instruction budget: bumps [<port>.tier_ups] *)
+val tier_up : t -> unit
+
 (** close the current chained run and record its length in
     [<port>.chain_len]; call at each dispatch-loop re-entry and at run
     exit *)

@@ -97,10 +97,6 @@ module Make (T : Vcodebase.Target.S) : sig
       when the key is not resident *)
   val evict : t -> int -> bool
 
-  (** evict the coldest region (fewest hits, then oldest epoch, then
-      lowest base); [false] when the registry is empty *)
-  val evict_coldest : t -> bool
-
   val find : t -> int -> info option
   val live : t -> int
 

@@ -51,6 +51,48 @@ let prop_encode_decode =
     (QCheck.make ~print:(fun i -> A.disasm (A.encode i)) insn_gen)
     (fun i -> A.encode (A.decode (A.encode i)) = A.encode i)
 
+(* The decoder's operate tables: every integer and FP operation
+   round-trips through encode/decode (register and literal forms), no
+   two share an (opcode, function) pair, and every unassigned pair in
+   the operate opcodes still decodes to [Bad_insn]. *)
+let test_operate_tables () =
+  check Alcotest.int "31 integer operations" 31 (List.length A.all_iops);
+  check Alcotest.int "19 FP operations" 19 (List.length A.all_fops);
+  List.iter
+    (fun o ->
+      List.iter
+        (fun b ->
+          let i = A.Intop (o, 3, b, 7) in
+          check Alcotest.bool (A.iop_name o ^ " round-trips") true (A.decode (A.encode i) = i))
+        [ A.R 5; A.L 200 ])
+    A.all_iops;
+  List.iter
+    (fun o ->
+      let i = A.Fpop (o, 2, 9, 30) in
+      check Alcotest.bool (A.fop_name o ^ " round-trips") true (A.decode (A.encode i) = i))
+    A.all_fops;
+  let icodes = List.map A.iop_code A.all_iops and fcodes = List.map A.fop_code A.all_fops in
+  check Alcotest.int "integer codes are distinct" 31 (List.length (List.sort_uniq compare icodes));
+  check Alcotest.int "FP codes are distinct" 19 (List.length (List.sort_uniq compare fcodes));
+  let raises w = match A.decode w with _ -> false | exception A.Bad_insn _ -> true in
+  for op = 0x10 to 0x13 do
+    for func = 0 to 0x7F do
+      let w = (op lsl 26) lor (func lsl 5) in
+      check Alcotest.bool
+        (Printf.sprintf "operate 0x%02x/0x%02x decodes iff assigned" op func)
+        (not (List.mem (op, func) icodes)) (raises w)
+    done
+  done;
+  List.iter
+    (fun op ->
+      for func = 0 to 0x7FF do
+        let w = (op lsl 26) lor (func lsl 5) in
+        check Alcotest.bool
+          (Printf.sprintf "FP operate 0x%02x/0x%03x decodes iff assigned" op func)
+          (op = 0x15 || not (List.mem (op, func) fcodes)) (raises w)
+      done)
+    [ 0x14; 0x15; 0x16; 0x17 ]
+
 let prop_disasm_total =
   QCheck.Test.make ~name:"alpha disasm never raises" ~count:2000
     QCheck.(int_bound 0xFFFFFFF)
@@ -453,7 +495,9 @@ let test_no_delay_slots () =
 let () =
   Alcotest.run "vcode-alpha"
     [
-      ("asm", [ qtest prop_encode_decode; qtest prop_disasm_total ]);
+      ( "asm",
+        [ qtest prop_encode_decode; qtest prop_disasm_total;
+          Alcotest.test_case "operate tables" `Quick test_operate_tables ] );
       ("binops", List.map qtest binop_props);
       ("consts", [ qtest prop_set_const64 ]);
       ("control", List.map qtest branch_props @ [ qtest prop_branch_imm_zero ]);

@@ -277,13 +277,13 @@ let test_timing_table4_ash () =
     modes
 
 (* ------------------------------------------------------------------ *)
-(* The translation must actually be engaged: compiles happen on first
-   touch, then stay flat while later calls retire instructions from
+(* The translation must actually be engaged: with tier-up off
+   ([~hot_calls:0]) compiles happen on first touch, then stay flat while later calls retire instructions from
    resident blocks.                                                    *)
 
 let test_blocks_engaged () =
   let module S = Vmips.Mips_sim in
-  let m = S.create Vmachine.Mconfig.test_config in
+  let m = S.create ~hot_calls:0 Vmachine.Mconfig.test_config in
   let code = Mips_port.gen_loop () in
   Vmachine.Mem.install_code m.S.mem ~addr:code.Vcode.base code.Vcode.gen.Gen.buf;
   let entry = code.Vcode.entry_addr in

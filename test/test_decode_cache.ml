@@ -245,12 +245,13 @@ let test_self_modifying_store () =
   check Alcotest.int "self-modified body" 42 (call (A.encode (A.Addiu (2, 0, 42))));
   check Alcotest.int "re-modified body" 9 (call (A.encode (A.Addiu (2, 0, 9))))
 
-(* the predecode cache must actually be engaged: the first call fills
+(* the predecode cache must actually be engaged: with tier-up off
+   ([~hot_calls:0]) the first call fills
    one entry per static instruction, and every later call is served
    entirely from the cache (fills stay flat while insns grow) *)
 let test_predecode_engaged () =
   let module S = Vmips.Mips_sim in
-  let m = S.create Vmachine.Mconfig.test_config in
+  let m = S.create ~hot_calls:0 Vmachine.Mconfig.test_config in
   let code = Mips_port.gen_const 5 in
   Vmachine.Mem.install_code m.S.mem ~addr:code.Vcode.base code.Vcode.gen.Gen.buf;
   S.call m ~entry:code.Vcode.entry_addr [ S.Int 0 ];

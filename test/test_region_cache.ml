@@ -123,7 +123,7 @@ let test_mips_region_drop_raises_dirty () =
       A.Jr 31; (* 7: out                    *)
       A.Nop (* 8: delay                  *) ]
   in
-  let m = S.create ~regions:true Vmachine.Mconfig.test_config in
+  let m = S.create ~regions:true ~hot_calls:0 Vmachine.Mconfig.test_config in
   List.iteri
     (fun i insn -> Vmachine.Mem.write_u32 m.S.mem (base + (4 * i)) (A.encode insn))
     program;
@@ -175,7 +175,7 @@ let test_mips_region_abort_pc () =
       (store + 8, A.Nop) ]
   in
   let tr = Vmachine.Trace.create ~capacity_pow2:16 () in
-  let m = S.create ~regions:true ~trace:tr Vmachine.Mconfig.test_config in
+  let m = S.create ~regions:true ~hot_calls:0 ~trace:tr Vmachine.Mconfig.test_config in
   List.iter
     (fun (a, insn) -> Vmachine.Mem.write_u32 m.S.mem a (A.encode insn))
     program;

@@ -515,14 +515,15 @@ let test_lockstep_fuzz () =
         classify_all (pick ks)
       done
   done;
-  (* region-promotion kill shot: hammer one key well past the region
-     tier's hot threshold so a trace is promoted over its slab, then
-     replace the key — the slab is scrubbed and reused, and the
-     promoted trace must die with it *)
+  (* region-promotion kill shot: hammer one key past the tier-up
+     threshold and then well past the region tier's hot threshold so a
+     trace is promoted over its slab, then replace the key — the slab is
+     scrubbed and reused, the promoted trace must die with it and the
+     entry start cold again *)
   let hot = !next_key in
   incr next_key;
   install hot;
-  for _ = 1 to 100 do
+  for _ = 1 to Vmachine.Engine.hot_calls + 100 do
     classify_all hot
   done;
   install hot (* replace: new fid, same (LIFO-reused) slab *);

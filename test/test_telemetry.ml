@@ -55,7 +55,7 @@ module Make_port (T : Target.S) (S : Workloads.SIM) : PORT = struct
 
   let run_table3 telemetry ~predecode ~blocks ~regions ~packets =
     let c = DP.compile ~base:0x1000 ~table_base:0x200000 (Dpf.Filter.tcpip_filters 10) in
-    let m = S.create ~predecode ~blocks ~regions ~telemetry Vmachine.Mconfig.dec5000 in
+    let m = S.create ~predecode ~blocks ~regions ~hot_calls:0 ~telemetry Vmachine.Mconfig.dec5000 in
     Vmachine.Mem.install_code m.S.mem ~addr:c.Dpf.code.Vcode.base c.Dpf.code.Vcode.gen.Gen.buf;
     DP.install_tables m.S.mem c;
     for k = 0 to packets - 1 do

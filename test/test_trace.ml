@@ -354,8 +354,12 @@ let allocation_in_mode tr (mode, (predecode, blocks, regions)) =
   in
   Vmachine.Mem.install_code m.S.mem ~addr:code.Vcode.base code.Vcode.gen.Gen.buf;
   let entry = code.Vcode.entry_addr in
-  S.call m ~entry [ S.Int 2000 ];
-  S.call m ~entry [ S.Int 2000 ];
+  (* warm up past tier-up (the cold calls run in the interpreter, which
+     decodes, and so allocates, each instruction): block compilation,
+     closure allocation, cache fills *)
+  for _ = 0 to Vmachine.Engine.hot_calls + 1 do
+    S.call m ~entry [ S.Int 2000 ]
+  done;
   let insns0 = m.S.insns in
   let w0 = Gc.minor_words () in
   for _ = 1 to 20 do
