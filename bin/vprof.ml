@@ -23,6 +23,7 @@
      vprof -w alu-loop -p alpha --top 5 --json prof.json
      vprof -w router --iters 20000 --json r.json --perfetto r.perfetto.json
      vprof -w asm:josephus -m regions --runs 200
+     vprof -w router -m blocks --hot-calls 16 # tier up after 16 cold calls
 
    The port/workload/mode vocabulary and the workload fixtures live in
    {!Workloads} (lib/harness), shared with bench/main.exe and
@@ -49,7 +50,8 @@ module R = Report
    object; written through {!Report}, so "side_exit_rate" is a
    shortest-form number rather than four fixed decimals.
    6: the "tiers" object gained the tier-up counters "cold_calls" and
-   "tier_ups". *)
+   "tier_ups"; the top level gained "hot_calls", the tier-up threshold
+   the run used. *)
 let json_schema_version = 6
 
 (* timeline sampling period, in ticks (packets on the router, runs
@@ -111,11 +113,11 @@ let side_exit_rate tel ~port =
   if execs = 0 then 0.0
   else 100.0 *. float_of_int (count tel (port ^ ".region_side_exits")) /. float_of_int execs
 
-let measure (module P : W.PORT) ~workload ~mode ~iters ~runs ~top =
+let measure (module P : W.PORT) ~workload ~mode ~hot_calls ~iters ~runs ~top =
   let predecode, blocks, regions = W.mode_exn ~tool:"vprof" mode in
   let tel = Tel.create () in
   let tl = Timeline.create ~every:timeline_every ~rows:4096 () in
-  let m = P.create ~telemetry:tel ~predecode ~blocks ~regions () in
+  let m = P.create ~hot_calls ~telemetry:tel ~predecode ~blocks ~regions () in
   let prep = P.prepare ~tel ~timeline:tl m ~workload ~iters in
   Timeline.sample_now tl;
   for _ = 1 to runs do
@@ -134,9 +136,11 @@ let measure (module P : W.PORT) ~workload ~mode ~iters ~runs ~top =
 
 let print_rows rows = List.iter (fun (_, label, v) -> Printf.printf "  %-28s %12d\n" label v) rows
 
-let report ~port ~workload ~mode ~iters ~runs ~top o =
-  Printf.printf "vprof: %s on %s, %s mode (%d iterations%s)\n" workload port mode iters
-    (if runs > 1 then Printf.sprintf ", %d runs" runs else "");
+let report ~port ~workload ~mode ~hot_calls ~iters ~runs ~top o =
+  Printf.printf "vprof: %s on %s, %s mode (%d iterations%s, tier-up after %d calls)\n" workload
+    port mode iters
+    (if runs > 1 then Printf.sprintf ", %d runs" runs else "")
+    hot_calls;
   Printf.printf "  %d simulated instructions retired in %d cycles\n\n" o.insns o.cycles;
   (* hottest compiled superblocks *)
   (match o.hot with
@@ -198,7 +202,7 @@ let report ~port ~workload ~mode ~iters ~runs ~top o =
   Printf.printf "  gauges: %s\n" (String.concat ", " (Timeline.gauge_names o.tl));
   Printf.printf "events recorded: %d\n" (Tel.events_seen o.tel)
 
-let write_json path ~port ~workload ~mode ~iters ~runs ~top o =
+let write_json path ~port ~workload ~mode ~hot_calls ~iters ~runs ~top o =
   let ints rows = List.map (fun (k, _, v) -> (k, R.Int v)) rows in
   let tl = o.tl in
   R.to_file path
@@ -208,6 +212,7 @@ let write_json path ~port ~workload ~mode ~iters ~runs ~top o =
           ("tool", R.Str "vprof");
           ("port", R.Str port);
           ("mode", R.Str mode);
+          ("hot_calls", R.Int hot_calls);
           ("workload", R.Str workload);
           ("iters", R.Int iters);
           ("runs", R.Int runs);
@@ -272,15 +277,30 @@ let top_arg =
     value & opt int 10
     & info [ "top" ] ~docv:"K" ~doc:"hot blocks and (router) hottest tenants to report")
 
+let hot_calls_arg =
+  Arg.(
+    value
+    & opt int Vmachine.Engine.hot_calls
+    & info [ "hot-calls" ] ~docv:"N"
+        ~doc:
+          "tier-up threshold: calls an entry runs in the interpreter before the mode's tier \
+           translates it (0: translate on the first call)")
+
 let file_arg name doc = Arg.(value & opt (some string) None & info [ name ] ~docv:"FILE" ~doc)
 
-let main port workload mode iters runs top json perfetto =
+let main port workload mode hot_calls iters runs top json perfetto =
   let p = W.port_exn ~tool:"vprof" port in
   let workload = W.workload_exn ~tool:"vprof" p workload in
+  if hot_calls < 0 then begin
+    Printf.eprintf "vprof: --hot-calls must be at least 0 (got %d)\n" hot_calls;
+    exit 1
+  end;
   let runs = max 1 runs in
-  let o = measure p ~workload ~mode ~iters ~runs ~top in
-  report ~port ~workload ~mode ~iters ~runs ~top o;
-  Option.iter (fun path -> write_json path ~port ~workload ~mode ~iters ~runs ~top o) json;
+  let o = measure p ~workload ~mode ~hot_calls ~iters ~runs ~top in
+  report ~port ~workload ~mode ~hot_calls ~iters ~runs ~top o;
+  Option.iter
+    (fun path -> write_json path ~port ~workload ~mode ~hot_calls ~iters ~runs ~top o)
+    json;
   Option.iter (fun path -> write_perfetto path ~port ~workload ~mode o) perfetto
 
 let () =
@@ -289,7 +309,7 @@ let () =
     Term.(
       const main $ Cli.port
       $ Cli.workload ~default:"dpf-classify"
-      $ Cli.mode
+      $ Cli.mode $ hot_calls_arg
       $ Cli.iters ~default:1000
       $ runs_arg $ top_arg
       $ file_arg "json"

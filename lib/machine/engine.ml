@@ -56,30 +56,23 @@ let cold_budget = 2048
    bit per granule of memory saying whether the table holds it, and
    the conservative byte span [lo, hi) of counted entries.  The write
    watcher dismisses a store outside the span with two comparisons, as
-   {!Block_cache.invalidate} does, and one inside it (a guest's data
-   between code) with a bit test per granule; only a write over a
-   counted entry's granule touches the table.  [last] memoizes the
-   latest cell, so a loop of calls to one entry skips the table. *)
+   {!Block_cache.invalidate} does, and one inside it (guest data
+   between code, such as e2e sim-hot's packet and corpus arrays) with
+   a bit test per granule; only a write over a counted entry's granule
+   touches the table. *)
 module Calls = struct
   module H = Hashtbl.Make (Int)
 
   (* [n]: cold calls so far; [left]: the entry's remaining cold budget *)
   type cell = { entry : int; mutable n : int; mutable left : int }
 
-  type t = {
-    counts : cell list H.t;
-    marks : Bytes.t; (* bit g: granule g is in [counts] *)
-    mutable lo : int;
-    mutable hi : int;
-    mutable last : cell; (* [absent] after a forget *)
-  }
+  type t = { counts : cell list H.t; marks : Bytes.t; mutable lo : int; mutable hi : int }
 
   let granule_shift = 8
-  let absent = { entry = -1; n = 0; left = 0 }
 
   let create ~mem_bytes =
     { counts = H.create 64; marks = Bytes.make ((mem_bytes lsr granule_shift) / 8 + 1) '\000';
-      lo = max_int; hi = 0; last = absent }
+      lo = max_int; hi = 0 }
 
   (* granules past the end of memory are never marked: no write can
      reach them *)
@@ -94,39 +87,31 @@ module Calls = struct
       Bytes.set t.marks i (Char.unsafe_chr (if on then b lor bit else b land lnot bit))
     end
 
+  (* no closure: [cell] runs on every call and allocates nothing once
+     the entry is counted *)
   let rec find_in entry = function
-    | [] -> absent
+    | [] -> raise Not_found
     | c :: rest -> if c.entry = entry then c else find_in entry rest
 
   (* the count cell of [entry], created cold *)
   let cell t entry =
-    let l = t.last in
-    if l.entry = entry && l != absent then l
-    else begin
-      let g = entry lsr granule_shift in
-      let cs = match H.find t.counts g with cs -> cs | exception Not_found -> [] in
-      let c = find_in entry cs in
-      let c =
-        if c != absent then c
-        else begin
-          let c = { entry; n = 0; left = cold_budget } in
-          H.replace t.counts g (c :: cs);
-          set_mark t g true;
-          if entry < t.lo then t.lo <- entry;
-          if entry + 4 > t.hi then t.hi <- entry + 4;
-          c
-        end
-      in
-      t.last <- c;
+    let g = entry lsr granule_shift in
+    let cs = match H.find t.counts g with cs -> cs | exception Not_found -> [] in
+    match find_in entry cs with
+    | c -> c
+    | exception Not_found ->
+      let c = { entry; n = 0; left = cold_budget } in
+      H.replace t.counts g (c :: cs);
+      set_mark t g true;
+      if entry < t.lo then t.lo <- entry;
+      if entry + 4 > t.hi then t.hi <- entry + 4;
       c
-    end
 
   let clear t =
     H.reset t.counts;
     Bytes.fill t.marks 0 (Bytes.length t.marks) '\000';
     t.lo <- max_int;
-    t.hi <- 0;
-    t.last <- absent
+    t.hi <- 0
 
   (* Forget every entry whose first word overlaps [addr, addr+len). *)
   let forget t addr len =
@@ -136,7 +121,6 @@ module Calls = struct
       let g1 = (min (last - 1) (t.hi - 1)) lsr granule_shift in
       for g = g0 to g1 do
         if marked t g then begin
-          t.last <- absent;
           let cs = H.find t.counts g in
           match List.filter (fun c -> c.entry + 4 <= addr || c.entry >= last) cs with
           | [] ->

@@ -33,6 +33,9 @@ module type PORT = sig
 
   (* cycles, insns, icache (hits, misses), dcache (hits, misses) *)
   val stats : sim -> int * int * (int * int) * (int * int)
+
+  (* decode-cache fills so far: nonzero once a call ran translated *)
+  val pdc_fills : sim -> int
 end
 
 module Make_port
@@ -45,6 +48,7 @@ module Make_port
       val call_ints : t -> entry:int -> int list -> int
       val flush_caches : t -> unit
       val stats : t -> int * int * (int * int) * (int * int)
+      val pdc_fills : t -> int
     end) =
 struct
   module V = Vcode.Make (T)
@@ -59,6 +63,7 @@ struct
   let call_ints = S.call_ints
   let flush_caches = S.flush_caches
   let stats = S.stats
+  let pdc_fills = S.pdc_fills
 
   (* f () = k, regenerated with different constants at the same base *)
   let gen_const k =
@@ -96,7 +101,7 @@ module Mips_port =
 
       type t = S.t
 
-      let create ~predecode = S.create ~predecode Vmachine.Mconfig.test_config
+      let create ~predecode = S.create ~predecode ~hot_calls:0 Vmachine.Mconfig.test_config
 
       let install m (c : Vcode.code) =
         Vmachine.Mem.install_code m.S.mem ~addr:c.Vcode.base c.Vcode.gen.Gen.buf
@@ -109,6 +114,8 @@ module Mips_port =
 
       let stats (m : t) =
         (m.S.cycles, m.S.insns, Vmachine.Cache.stats m.S.icache, Vmachine.Cache.stats m.S.dcache)
+
+      let pdc_fills (m : t) = fst (Vmachine.Decode_cache.stats m.S.pdc)
     end)
 
 module Sparc_port =
@@ -119,7 +126,7 @@ module Sparc_port =
 
       type t = S.t
 
-      let create ~predecode = S.create ~predecode Vmachine.Mconfig.test_config
+      let create ~predecode = S.create ~predecode ~hot_calls:0 Vmachine.Mconfig.test_config
 
       let install m (c : Vcode.code) =
         Vmachine.Mem.install_code m.S.mem ~addr:c.Vcode.base c.Vcode.gen.Gen.buf
@@ -132,6 +139,8 @@ module Sparc_port =
 
       let stats (m : t) =
         (m.S.cycles, m.S.insns, Vmachine.Cache.stats m.S.icache, Vmachine.Cache.stats m.S.dcache)
+
+      let pdc_fills (m : t) = fst (Vmachine.Decode_cache.stats m.S.pdc)
     end)
 
 module Alpha_port =
@@ -142,7 +151,7 @@ module Alpha_port =
 
       type t = S.t
 
-      let create ~predecode = S.create ~predecode Vmachine.Mconfig.test_config
+      let create ~predecode = S.create ~predecode ~hot_calls:0 Vmachine.Mconfig.test_config
 
       let install m (c : Vcode.code) =
         Vmachine.Mem.install_code m.S.mem ~addr:c.Vcode.base c.Vcode.gen.Gen.buf
@@ -155,6 +164,8 @@ module Alpha_port =
 
       let stats (m : t) =
         (m.S.cycles, m.S.insns, Vmachine.Cache.stats m.S.icache, Vmachine.Cache.stats m.S.dcache)
+
+      let pdc_fills (m : t) = fst (Vmachine.Decode_cache.stats m.S.pdc)
     end)
 
 module Ppc_port =
@@ -165,7 +176,7 @@ module Ppc_port =
 
       type t = S.t
 
-      let create ~predecode = S.create ~predecode Vmachine.Mconfig.test_config
+      let create ~predecode = S.create ~predecode ~hot_calls:0 Vmachine.Mconfig.test_config
 
       let install m (c : Vcode.code) =
         Vmachine.Mem.install_code m.S.mem ~addr:c.Vcode.base c.Vcode.gen.Gen.buf
@@ -178,6 +189,8 @@ module Ppc_port =
 
       let stats (m : t) =
         (m.S.cycles, m.S.insns, Vmachine.Cache.stats m.S.icache, Vmachine.Cache.stats m.S.dcache)
+
+      let pdc_fills (m : t) = fst (Vmachine.Decode_cache.stats m.S.pdc)
     end)
 
 (* ------------------------------------------------------------------ *)
@@ -190,6 +203,9 @@ let regen_case (type s) (module P : PORT with type sim = s) gen_const =
   let entry = c1.Vcode.entry_addr in
   check Alcotest.int (P.name ^ ": first generation") 17 (P.call_ints m ~entry [ 0 ]);
   check Alcotest.int (P.name ^ ": first generation, warm") 17 (P.call_ints m ~entry [ 0 ]);
+  (* the ports create with tier-up off, so the first call already ran
+     translated: the checks below really can meet a stale translation *)
+  check Alcotest.bool (P.name ^ ": first generation ran translated") true (P.pdc_fills m > 0);
   (* regenerate different code at the same base; a stale-translation bug
      would keep returning 17 *)
   let c2 = gen_const 42 in
@@ -215,7 +231,9 @@ let test_regen_ppc () = regen_case (module Ppc_port) Ppc_port.gen_const
 let test_self_modifying_store () =
   let module S = Vmips.Mips_sim in
   let module A = Vmips.Mips_asm in
-  let m = S.create Vmachine.Mconfig.test_config in
+  (* tier-up off: every call runs translated, so a stale predecode or
+     block would be executed *)
+  let m = S.create ~hot_calls:0 Vmachine.Mconfig.test_config in
   let base = 0x1000 in
   (* f(p, w): mem[p] <- w; ...; v0 <- <insn at 0x100c>; return.
      $a0 = 4, $a1 = 5, $v0 = 2, $ra = 31. *)
@@ -240,6 +258,8 @@ let test_self_modifying_store () =
   (* first run predecodes the whole function (the store rewrites the
      same word, so behaviour is unchanged) *)
   check Alcotest.int "initial body" 1 (call (A.encode (A.Addiu (2, 0, 1))));
+  check Alcotest.bool "initial body ran translated" true
+    (fst (Vmachine.Decode_cache.stats m.S.pdc) > 0);
   (* now the program patches its own instruction stream; stale predecode
      would still return 1 *)
   check Alcotest.int "self-modified body" 42 (call (A.encode (A.Addiu (2, 0, 42))));

@@ -100,8 +100,11 @@ let classify m ~entry ~port =
   S.call m ~entry [ S.Int pkt_addr; S.Int 40 ];
   S.ret_int m
 
-let mk_machine ?(predecode = true) ?(blocks = true) ?(regions = false) () =
-  let m = S.create ~predecode ~blocks ~regions Vmachine.Mconfig.test_config in
+(* Tier-up is off by default ([hot_calls] 0): a filter runs translated
+   from its first call, so a stale translation over a reused slab would
+   be executed rather than bypassed by a cold call. *)
+let mk_machine ?(predecode = true) ?(blocks = true) ?(regions = false) ?(hot_calls = 0) () =
+  let m = S.create ~predecode ~blocks ~regions ~hot_calls Vmachine.Mconfig.test_config in
   Packet.install m.S.mem ~addr:pkt_addr (Packet.tcp ());
   m
 
@@ -127,9 +130,13 @@ let test_server_basic () =
     check Alcotest.bool "code fits its slab" true
       (i.SV.code_words > 0 && i.SV.code_words <= i.SV.slab_words));
   (* replace: same key, new fid and port; old translation must be gone *)
+  let compiles0, _ = Vmachine.Block_cache.stats m.S.bc in
+  check Alcotest.bool "filters ran as compiled blocks" true (compiles0 > 0);
   let e1' = SV.install sv ~key:1 (filter_for ~fid:201 ~port:3001) in
   check Alcotest.int "replacement classifies as the new fid" 201
     (classify m ~entry:e1' ~port:3001);
+  check Alcotest.bool "replacement ran as freshly compiled blocks" true
+    (fst (Vmachine.Block_cache.stats m.S.bc) > compiles0);
   check Alcotest.int "old port no longer accepted" (-1) (classify m ~entry:e1' ~port:2001);
   check Alcotest.bool "evict removes" true (SV.evict sv 2);
   check Alcotest.bool "evict is once" false (SV.evict sv 2);
@@ -386,33 +393,39 @@ let test_server_eviction_oracle () =
   List.iter run [ 1; 2; 3 ]
 
 (* ------------------------------------------------------------------ *)
-(* Eviction-lifetime lockstep fuzz: all four engine modes              *)
+(* Eviction-lifetime lockstep fuzz: every engine mode                  *)
 
-(* One registry per engine mode, driven through an identical seeded
-   schedule of install / replace / evict / classify operations over a
-   deliberately tiny arena (eight 128-word slabs), so slab addresses
-   recycle constantly.  Every classify writes the packet, runs the
-   compiled filter on all four machines and demands (fid, insns,
-   cycles) agree with the no-cache machine — any stale predecode,
-   superblock or region translation left over an evicted slab either
-   returns a dead fid or diverges in timing, and either trips the
-   check.  One key is hammered past the region-promotion threshold
-   before being replaced, so the regions tier provably drops promoted
-   traces too. *)
+(* One registry per engine rig — the interpreter, and each translating
+   mode both with tier-up off (translated from the first call) and at
+   the default threshold (cold calls first) — driven through an
+   identical seeded schedule of install / replace / evict / classify
+   operations over a deliberately tiny arena (eight 128-word slabs), so
+   slab addresses recycle constantly.  Every classify writes the
+   packet, runs the compiled filter on all seven machines and demands
+   (fid, insns, cycles) agree with the no-cache machine — any stale
+   predecode, superblock or region translation left over an evicted
+   slab either returns a dead fid or diverges in timing, and either
+   trips the check.  One key is hammered past the region-promotion
+   threshold before being replaced, so the regions tier provably drops
+   promoted traces too. *)
 
 let test_lockstep_fuzz () =
+  let hot = Vmachine.Engine.hot_calls in
   let modes =
     [
-      ("off", (false, false, false));
-      ("predecode", (true, false, false));
-      ("blocks", (true, true, false));
-      ("regions", (true, true, true));
+      ("off", (false, false, false), 0);
+      ("predecode", (true, false, false), 0);
+      ("blocks", (true, true, false), 0);
+      ("regions", (true, true, true), 0);
+      ("predecode/hot", (true, false, false), hot);
+      ("blocks/hot", (true, true, false), hot);
+      ("regions/hot", (true, true, true), hot);
     ]
   in
   let rigs =
     List.map
-      (fun (name, (predecode, blocks, regions)) ->
-        let m = mk_machine ~predecode ~blocks ~regions () in
+      (fun (name, (predecode, blocks, regions), hot_calls) ->
+        let m = mk_machine ~predecode ~blocks ~regions ~hot_calls () in
         let base = 0x100000 in
         let sv = SV.create ~arena_base:base ~arena_limit:(base + (4 * 8 * 128)) m.S.mem in
         (name, m, sv))
@@ -518,26 +531,39 @@ let test_lockstep_fuzz () =
   (* region-promotion kill shot: hammer one key past the tier-up
      threshold and then well past the region tier's hot threshold so a
      trace is promoted over its slab, then replace the key — the slab is
-     scrubbed and reused, the promoted trace must die with it and the
-     entry start cold again *)
-  let hot = !next_key in
+     scrubbed and reused, the promoted trace must die with it (at once
+     on the rigs without tier-up) and the entry start cold again (on the
+     others, which translate it again past the threshold) *)
+  let key = !next_key in
   incr next_key;
-  install hot;
-  for _ = 1 to Vmachine.Engine.hot_calls + 100 do
-    classify_all hot
+  install key;
+  for _ = 1 to hot + 100 do
+    classify_all key
   done;
-  install hot (* replace: new fid, same (LIFO-reused) slab *);
-  for _ = 1 to 10 do
-    classify_all hot
+  install key (* replace: new fid, same (LIFO-reused) slab *);
+  for _ = 1 to hot + 10 do
+    classify_all key
   done;
   (* and the evict/reinstall variant of the same hazard *)
-  evict hot;
-  install hot;
-  classify_all hot;
-  (* the regions rig really did promote something *)
-  let _, m_reg, _ = List.nth rigs 3 in
-  let promotions, _ = Vmachine.Region_cache.stats m_reg.S.rc in
-  check Alcotest.bool "regions tier promoted during the fuzz" true (promotions > 0);
+  evict key;
+  install key;
+  classify_all key;
+  (* every translating rig really ran translated code, and both regions
+     rigs promoted something *)
+  List.iter
+    (fun (name, m, _) ->
+      if name <> "off" then begin
+        check Alcotest.bool (name ^ " rig filled its decode cache") true
+          (fst (Vmachine.Decode_cache.stats m.S.pdc) > 0);
+        if String.starts_with ~prefix:"blocks" name || String.starts_with ~prefix:"regions" name
+        then
+          check Alcotest.bool (name ^ " rig compiled blocks") true
+            (fst (Vmachine.Block_cache.stats m.S.bc) > 0);
+        if String.starts_with ~prefix:"regions" name then
+          check Alcotest.bool (name ^ " rig promoted a region") true
+            (fst (Vmachine.Region_cache.stats m.S.rc) > 0)
+      end)
+    rigs;
   (* all rigs agree on the survivors *)
   List.iter classify_all (live_keys ())
 
