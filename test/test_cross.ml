@@ -126,6 +126,7 @@ module type RUNNER = sig
   val run_virt : rinsn list -> int -> int -> int
   val call_conv : int list -> int (* weighted-sum function of the args *)
   val run_fp : float -> float -> float (* a fixed double-precision kernel *)
+  val retval_keeps_var : unit -> int (* the caller's var register after a call *)
 end
 
 module Make_runner
@@ -252,6 +253,32 @@ module Make_runner
     let m = S.create () in
     S.install m code;
     sext32 (S.call_ints m ~entry:code.Vcode.entry_addr args_vals)
+
+  (* A callee-saved register written only by [retval] must still be
+     saved by the function that writes it: [inner] fills its first var
+     register from a call's result and returns it, while [outer] holds
+     0x1234 in the same register across its call to [inner]. *)
+  let retval_keeps_var () =
+    let fn ~base ~leaf body =
+      let g, _ = V.lambda ~base ~leaf "" in
+      let r = V.getreg_exn g ~cls:(if leaf then `Temp else `Var) Vtype.I in
+      body g r;
+      V.ret g Vtype.I (Some r);
+      V.end_gen g
+    in
+    let answer = fn ~base ~leaf:true (fun g r -> V.set g Vtype.I r 0x2aL) in
+    let inner =
+      fn ~base:(base + 0x1000) ~leaf:false (fun g r ->
+          V.ccall g (Gen.Jaddr answer.Vcode.entry_addr) ~args:[] ~ret:(Some (Vtype.I, r)))
+    in
+    let outer =
+      fn ~base:(base + 0x2000) ~leaf:false (fun g r ->
+          V.set g Vtype.I r 0x1234L;
+          V.ccall g (Gen.Jaddr inner.Vcode.entry_addr) ~args:[] ~ret:None)
+    in
+    let m = S.create () in
+    List.iter (S.install m) [ answer; inner; outer ];
+    S.call_ints m ~entry:outer.Vcode.entry_addr []
 end
 
 module Mips_runner =
@@ -393,6 +420,11 @@ let prop_fp_cross_target =
         (fun (module R : RUNNER) -> R.run_fp a b = reference)
         runners)
 
+let test_retval_keeps_var () =
+  List.iter
+    (fun (module R : RUNNER) -> check Alcotest.int R.name 0x1234 (R.retval_keeps_var ()))
+    runners
+
 (* ------------------------------------------------------------------ *)
 (* Virtual registers: spilling behaviour                               *)
 
@@ -452,6 +484,7 @@ let () =
           qtest prop_all_targets_match_reference;
           qtest prop_calling_conventions;
           qtest prop_fp_cross_target;
+          Alcotest.test_case "retval saves a callee-saved register" `Quick test_retval_keeps_var;
         ] );
       ( "virtual-registers",
         [
