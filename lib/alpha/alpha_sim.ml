@@ -552,44 +552,27 @@ include Engine.Make (struct
   let is_nop : A.t -> bool = function A.Intop (A.Bis, 31, A.R 31, 31) -> true | _ -> false
 end)
 
-(* ------------------------------------------------------------------ *)
-(* Harness: args in $16-$21 / $f16-$f21 by slot; further args on the
-   stack at sp+0, 8 bytes per slot.                                    *)
+(* Harness calls pass arguments where the backend's convention
+   ([Alpha_backend.desc.conv]) puts them. *)
+type arg = Vcodebase.Callconv.arg = Int of int | Int64 of int64 | Single of float | Double of float
 
-type arg = Int of int | Int64 of int64 | Double of float | Single of float
+let conv = Alpha_backend.desc.Vcodebase.Machdesc.conv
 
-let place_args (m : t) ~sp args =
-  let slot = ref 0 in
-  List.iter
-    (fun a ->
-      let k = !slot in
-      incr slot;
-      match a with
-      | Int v ->
-        if k < 6 then set_reg m.st (16 + k) (Int64.of_int v)
-        else Mem.write_u64 m.mem (sp + (8 * (k - 6))) (Int64.of_int v)
-      | Int64 v ->
-        if k < 6 then set_reg m.st (16 + k) v else Mem.write_u64 m.mem (sp + (8 * (k - 6))) v
-      | Double v ->
-        if k < 6 then set_fval m.st (16 + k) v
-        else Mem.write_u64 m.mem (sp + (8 * (k - 6))) (Int64.bits_of_float v)
-      | Single v ->
-        if k < 6 then set_fval m.st (16 + k) v
-        else
-          Mem.write_u64 m.mem
-            (sp + (8 * (k - 6)))
-            (Int64.bits_of_float (Int32.float_of_bits (Int32.bits_of_float v))))
-    args
+let set_arg s n : arg -> unit = function
+  | Int v -> set_reg s n (Int64.of_int v)
+  | Int64 v -> set_reg s n v
+  | Single v | Double v -> set_fval s n v
 
 let call ?fuel (m : t) ~entry args =
   let sp = m.stack_top land lnot 15 in
   set_reg m.st 30 (Int64.of_int sp);
   set_reg m.st 26 (Int64.of_int halt_addr);
-  place_args m ~sp args;
+  Vcodebase.Callconv.place conv ~set_reg:set_arg m.st ~write32:Mem.write_u32
+    ~write64:Mem.write_u64 m.mem ~sp args;
   m.pc <- entry;
   run ?fuel m
 
-let ret_int64 (m : t) = m.st.regs.(0)
-let ret_int (m : t) = Int64.to_int m.st.regs.(0)
-let ret_double (m : t) = fval m.st 0
-let ret_single (m : t) = fval m.st 0
+let ret_int64 (m : t) = m.st.regs.(conv.int_ret)
+let ret_int (m : t) = Int64.to_int (ret_int64 m)
+let ret_double (m : t) = fval m.st conv.fp_ret
+let ret_single (m : t) = fval m.st conv.fp_ret

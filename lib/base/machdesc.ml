@@ -22,11 +22,7 @@ type t = {
      register n must be preserved by a function that writes it. *)
   callee_mask : int;
   fcallee_mask : int;
-  (* Calling convention summary (details live in the target's lambda). *)
-  arg_regs : Reg.t array;
-  farg_regs : Reg.t array;
-  ret_reg : Reg.t;
-  fret_reg : Reg.t;
+  conv : Callconv.t;          (* argument and return convention *)
   sp : Reg.t;                 (* stack pointer *)
   locals_base : int;          (* sp-relative byte offset of the locals area *)
   scratch : Reg.t;            (* reserved assembler temporary ($at-like) *)

@@ -17,10 +17,7 @@ type t = {
   fvars : Reg.t array;
   callee_mask : int;          (** bit n: integer register n must be preserved *)
   fcallee_mask : int;
-  arg_regs : Reg.t array;     (** calling-convention summary (details in lambda) *)
-  farg_regs : Reg.t array;
-  ret_reg : Reg.t;
-  fret_reg : Reg.t;
+  conv : Callconv.t;          (** argument and return convention *)
   sp : Reg.t;
   locals_base : int;          (** sp-relative byte offset of the locals area *)
   scratch : Reg.t;            (** reserved assembler temporary ($at-like) *)

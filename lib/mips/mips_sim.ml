@@ -555,37 +555,17 @@ include Engine.Make (struct
   let is_nop : Mips_asm.t -> bool = function Nop -> true | _ -> false
 end)
 
-(* The simplified O32-like argument convention shared with the backend:
-   each argument consumes one slot (doubles two, even-aligned); the first
-   four slots of integer-class args go in $a0..$a3; the first two FP args
-   go in $f12/$f14 (if their slot < 4); everything else is on the stack
-   at [16 + 4*slot] above the entry $sp. *)
-type arg = Int of int | Single of float | Double of float
+(* Harness calls pass arguments where the backend's convention
+   ([Mips_backend.desc.conv]) puts them. *)
+type arg = Vcodebase.Callconv.arg = Int of int | Int64 of int64 | Single of float | Double of float
 
-(* allocation-free: plain recursion over the list with slot/fargs as
-   accumulators, so a hot caller (the throughput bench) pays no per-call
-   ref cells or iteration closure *)
-let rec place_rest s mem sp args slot fargs =
-  match args with
-  | [] -> ()
-  | Int v :: rest ->
-    if slot < 4 then set_reg s (4 + slot) v
-    else Mem.write_u32 mem (sp + 16 + (4 * slot)) (u32 v);
-    place_rest s mem sp rest (slot + 1) fargs
-  | Single v :: rest ->
-    if fargs < 2 && slot < 4 then set_single s (12 + (2 * fargs)) v
-    else
-      Mem.write_u32 mem
-        (sp + 16 + (4 * slot))
-        (Int32.to_int (Int32.bits_of_float v) land 0xFFFFFFFF);
-    place_rest s mem sp rest (slot + 1) (fargs + 1)
-  | Double v :: rest ->
-    let slot = slot + (slot land 1) in
-    if fargs < 2 && slot < 4 then set_double s (12 + (2 * fargs)) v
-    else Mem.write_u64 mem (sp + 16 + (4 * slot)) (Int64.bits_of_float v);
-    place_rest s mem sp rest (slot + 2) (fargs + 1)
+let conv = Mips_backend.desc.Vcodebase.Machdesc.conv
 
-let place_args (m : t) ~sp args = place_rest m.st m.mem sp args 0 0
+let set_arg s n : arg -> unit = function
+  | Int v -> set_reg s n v
+  | Int64 v -> set_reg s n (Int64.to_int v)
+  | Single v -> set_single s n v
+  | Double v -> set_double s n v
 
 (* Call the generated function at [entry] with [args]; returns after the
    function executes its epilogue (jr $ra to the halt address). *)
@@ -593,11 +573,12 @@ let call ?fuel (m : t) ~entry args =
   let sp = m.stack_top land lnot 7 in
   m.st.regs.(Mips_asm.sp) <- sp;
   m.st.regs.(Mips_asm.ra) <- halt_addr;
-  place_args m ~sp args;
+  Vcodebase.Callconv.place conv ~set_reg:set_arg m.st ~write32:Mem.write_u32
+    ~write64:Mem.write_u64 m.mem ~sp args;
   m.pc <- entry;
   m.npc <- entry + 4;
   run ?fuel m
 
-let ret_int (m : t) = m.st.regs.(Mips_asm.v0)
-let ret_single (m : t) = get_single m.st 0
-let ret_double (m : t) = get_double m.st 0
+let ret_int (m : t) = m.st.regs.(conv.int_ret)
+let ret_single (m : t) = get_single m.st conv.fp_ret
+let ret_double (m : t) = get_double m.st conv.fp_ret

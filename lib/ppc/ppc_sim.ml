@@ -534,50 +534,27 @@ include Engine.Make (struct
   let is_nop : A.t -> bool = function A.Ori (0, 0, 0) -> true | _ -> false
 end)
 
-(* ------------------------------------------------------------------ *)
-(* Harness: args in r3-r10 / f1-f8 by class; further args on the stack
-   at sp+8, 4 bytes per word slot (doubles 8-aligned pairs).           *)
+(* Harness calls pass arguments where the backend's convention
+   ([Ppc_backend.desc.conv]) puts them. *)
+type arg = Vcodebase.Callconv.arg = Int of int | Int64 of int64 | Single of float | Double of float
 
-type arg = Int of int | Single of float | Double of float
+let conv = Ppc_backend.desc.Vcodebase.Machdesc.conv
 
-let arg_base = 8
-
-let place_args (m : t) ~sp args =
-  let s = m.st in
-  let islot = ref 0 and fslot = ref 0 and stack = ref 0 in
-  List.iter
-    (fun a ->
-      match a with
-      | Int v ->
-        if !islot < 8 then begin
-          set s (3 + !islot) v;
-          incr islot
-        end
-        else begin
-          Mem.write_u32 m.mem (sp + arg_base + (4 * !stack)) (u32 v);
-          incr stack
-        end
-      | Single v | Double v ->
-        let v = match a with Single v -> single v | _ -> v in
-        if !fslot < 8 then begin
-          set_fval s (1 + !fslot) v;
-          incr fslot
-        end
-        else begin
-          if !stack land 1 = 1 then incr stack;
-          Mem.write_u64 m.mem (sp + arg_base + (4 * !stack)) (Int64.bits_of_float v);
-          stack := !stack + 2
-        end)
-    args
+let set_arg s n : arg -> unit = function
+  | Int v -> set s n v
+  | Int64 v -> set s n (Int64.to_int v)
+  | Single v -> set_fval s n (single v)
+  | Double v -> set_fval s n v
 
 let call ?fuel (m : t) ~entry args =
   let sp = m.stack_top land lnot 7 in
   set m.st 1 sp;
   m.st.lr <- halt_addr;
-  place_args m ~sp args;
+  Vcodebase.Callconv.place conv ~set_reg:set_arg m.st ~write32:Mem.write_u32
+    ~write64:Mem.write_u64 m.mem ~sp args;
   m.pc <- entry;
   run ?fuel m
 
-let ret_int (m : t) = m.st.regs.(3)
-let ret_double (m : t) = fval m.st 1
-let ret_single (m : t) = fval m.st 1
+let ret_int (m : t) = m.st.regs.(conv.int_ret)
+let ret_double (m : t) = fval m.st conv.fp_ret
+let ret_single (m : t) = fval m.st conv.fp_ret

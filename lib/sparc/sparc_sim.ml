@@ -650,46 +650,28 @@ include Engine.Make (struct
   let is_nop : Sparc_asm.t -> bool = function Sparc_asm.Nop -> true | _ -> false
 end)
 
-(* ------------------------------------------------------------------ *)
-(* Harness: the VCODE SPARC convention — first six word-class args in
-   %o0-%o5, floats/doubles and further args on the stack at sp+92;
-   doubles take an 8-aligned pair of slots.                            *)
+(* Harness calls pass arguments where the backend's convention
+   ([Sparc_backend.desc.conv]) puts them. *)
+type arg = Vcodebase.Callconv.arg = Int of int | Int64 of int64 | Single of float | Double of float
 
-type arg = Int of int | Single of float | Double of float
+let conv = Sparc_backend.desc.Vcodebase.Machdesc.conv
 
-let arg_bias = 92 (* window save (64) + hidden (4) + o0-o5 home (24) *)
-
-let place_args (m : t) ~sp args =
-  let slot = ref 0 in
-  List.iter
-    (fun a ->
-      match a with
-      | Int v ->
-        let k = !slot in
-        if k < 6 then set_reg m.st (8 + k) v
-        else Mem.write_u32 m.mem (sp + arg_bias + (4 * k)) (u32 v);
-        incr slot
-      | Single v ->
-        let k = !slot in
-        Mem.write_u32 m.mem (sp + arg_bias + (4 * k))
-          (Int32.to_int (Int32.bits_of_float v) land 0xFFFFFFFF);
-        incr slot
-      | Double v ->
-        if (!slot + (arg_bias / 4)) land 1 = 1 then incr slot;
-        let k = !slot in
-        Mem.write_u64 m.mem (sp + arg_bias + (4 * k)) (Int64.bits_of_float v);
-        slot := k + 2)
-    args
+let set_arg s n : arg -> unit = function
+  | Int v -> set_reg s n v
+  | Int64 v -> set_reg s n (Int64.to_int v)
+  | Single v -> set_single s n v
+  | Double v -> set_double s n v
 
 let call ?fuel (m : t) ~entry args =
   let sp = m.stack_top land lnot 7 in
   set_reg m.st 14 sp; (* %sp = %o6 *)
   set_reg m.st 15 (halt_addr - 8); (* %o7: ret = jmpl %i7+8 *)
-  place_args m ~sp args;
+  Vcodebase.Callconv.place conv ~set_reg:set_arg m.st ~write32:Mem.write_u32
+    ~write64:Mem.write_u64 m.mem ~sp args;
   m.pc <- entry;
   m.npc <- entry + 4;
   run ?fuel m
 
-let ret_int (m : t) = get_reg m.st 8 (* %o0 after the callee's restore *)
-let ret_single (m : t) = get_single m.st 0
-let ret_double (m : t) = get_double m.st 0
+let ret_int (m : t) = get_reg m.st conv.int_ret (* %o0 after the callee's restore *)
+let ret_single (m : t) = get_single m.st conv.fp_ret
+let ret_double (m : t) = get_double m.st conv.fp_ret

@@ -165,10 +165,9 @@ let dummy_desc : Machdesc.t =
     fvars = [| Reg.F 2 |];
     callee_mask = (1 lsl 3) lor (1 lsl 4) lor (1 lsl 5);
     fcallee_mask = 1 lsl 2;
-    arg_regs = [| Reg.R 6 |];
-    farg_regs = [||];
-    ret_reg = Reg.R 7;
-    fret_reg = Reg.F 0;
+    conv =
+      { Callconv.counting = Per_class; int_regs = [| 6 |]; fp_regs = [||]; slot_bytes = 4;
+        stack_base = 0; single_slots = 1; stack_limit = 0; int_ret = 7; fp_ret = 0; window = 0 };
     sp = Reg.R 0;
     locals_base = 0;
     scratch = Reg.R 0;
