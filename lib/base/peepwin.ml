@@ -26,8 +26,8 @@
    stage detects that — the record's span no longer ends at the buffer
    length — and drops the metadata rather than miscompiling.  (Length
    alone suffices: in-place patching without a length change only
-   happens in [apply_reloc], which the stage only reaches at label
-   binds and [finish], and both reset the window first.) *)
+   happens when [finish] resolves relocations, and it resets the
+   window first.) *)
 
 (* Record kinds.  Only instruction shapes the peephole stage can reason
    about are pushed; everything else flushes the window. *)

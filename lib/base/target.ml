@@ -9,7 +9,11 @@
 
    The paper reports that a complete mapping specification runs 40-100
    lines per machine; our equivalents are the mapping tables inside each
-   [<target>_backend.ml]. *)
+   [<target>_backend.ml].  A port states its argument and return
+   convention once, as [desc.conv] (a {!Callconv.t}): [Port] binds
+   parameters, places call arguments and moves return values from it
+   for [lambda], [do_call], [ret] and [retval], and the port's
+   simulator places harness-call arguments from the same record. *)
 
 module type S = sig
   val desc : Machdesc.t
@@ -88,9 +92,7 @@ module type S = sig
   (* Fetch the return value of the last call into [reg]. *)
   val retval : Gen.t -> Vtype.t -> Reg.t -> unit
 
-  (* --- relocation and disassembly ------------------------------------ *)
-
-  val apply_reloc : Gen.t -> kind:int -> site:int -> dest:int -> unit
+  (* --- disassembly and extensions ------------------------------------ *)
 
   (* One-line disassembly of an instruction word at [addr]; used by the
      dump facility and the visa tool. *)

@@ -1278,8 +1278,8 @@ module Make_peephole (T : Target.S) : Target.S = struct
      appended to or truncated the buffer without going through this
      stage, the record no longer ends at the buffer length and the
      metadata is dropped.  (In-place patches without a length change
-     only happen in [apply_reloc], reached via [bind_label]/[finish],
-     both of which reset the window first.) *)
+     only happen when [finish] resolves relocations, and it resets the
+     window first.) *)
   let[@inline] check_sync g =
     let w = g.Gen.peep in
     if w.Peepwin.ko <> 0 && w.Peepwin.end_ <> Codebuf.length g.Gen.buf then
@@ -1661,7 +1661,6 @@ module Make_peephole (T : Target.S) : Target.S = struct
     T.retval g t r;
     Peepwin.flush g.Gen.peep
 
-  let apply_reloc = T.apply_reloc
   let disasm = T.disasm
 
   (* Extension instructions bypass the window by construction; the
