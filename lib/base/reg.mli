@@ -23,11 +23,5 @@ val compare : t -> t -> int
 val to_string : t -> string
 val pp : Format.formatter -> t -> unit
 
-(** @raise Verror.Error when the register is not in the integer file *)
-val expect_int : string -> t -> int
-
-(** @raise Verror.Error when the register is not in the float file *)
-val expect_float : string -> t -> int
-
 (** does the register's file match the vtype's class? *)
 val matches_type : Vtype.t -> t -> bool

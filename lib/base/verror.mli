@@ -18,8 +18,6 @@ type reason =
 
 exception Error of reason
 
-val reason_to_string : reason -> string
-
 (** raise [Error r] *)
 val fail : reason -> 'a
 

@@ -62,13 +62,6 @@ let size ~word_bytes = function
 (* Natural alignment equals size on every target we support. *)
 let align ~word_bytes t = match t with V -> 1 | t -> size ~word_bytes t
 
-(* Types legal as register-to-register ALU operands (Table 2 footnote:
-   sub-word types are memory-only). *)
-let word_class = function
-  | I | U | L | UL | P -> true
-  | F | D -> false
-  | V | C | UC | S | US -> false
-
 (* Parse a [v_lambda] parameter type string such as "%i%p%d" or "%ul%uc".
    The leading '%' of each item is required, exactly as in the paper's
    examples.  Raises [Verror.Error] on malformed strings. *)

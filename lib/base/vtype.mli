@@ -44,9 +44,6 @@ val size : word_bytes:int -> t -> int
 (** natural alignment; equals [size] on all supported targets *)
 val align : word_bytes:int -> t -> int
 
-(** true for types legal as register-to-register ALU operands *)
-val word_class : t -> bool
-
 (** Parse a [v_lambda] parameter type string such as ["%i%p%d"] or
     ["%ul%uc"] (the paper's notation).
     @raise Verror.Error on malformed strings. *)

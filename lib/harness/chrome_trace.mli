@@ -45,9 +45,6 @@ val write_trace :
   Vmachine.Trace.t ->
   unit
 
-(** schema version stamped into {!write_timeline} exports *)
-val timeline_schema_version : int
-
 (** append the merged timeline export: every retained
     {!Vmachine.Timeline} row becomes one "C" event per gauge at
     [ts =] the row's tick ordinal (counter tracks plotted against
