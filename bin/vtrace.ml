@@ -9,10 +9,10 @@
    Two subcommands:
 
      vtrace capture -p mips -w alu-loop -m blocks --iters 2000 \
-            --bin t.vtrc --json t.trace.json
-       runs the workload once with tracing on and exports the ring: a
-       compact binary dump (Trace.write_binary) and/or a Chrome
-       trace_event JSON file loadable in Perfetto / chrome://tracing.
+            --json t.trace.json
+       runs the workload once with tracing on and exports the ring as a
+       Chrome trace_event JSON file loadable in Perfetto /
+       chrome://tracing.
 
      vtrace diff -p mips -w alu-loop --mode-a off --mode-b blocks
        runs the same port x workload under two engine modes, aligns
@@ -79,7 +79,7 @@ let symbolize regions pc =
 (* ------------------------------------------------------------------ *)
 (* capture                                                             *)
 
-let capture port workload mode iters cap fuel bin json =
+let capture port workload mode iters cap fuel json =
   let p = W.port_exn ~tool:"vtrace" port in
   let workload = W.workload_exn ~tool:"vtrace" p workload in
   let tr, regions, abort = traced_run p ~workload ~mode ~iters ~cap ~fuel () in
@@ -89,23 +89,15 @@ let capture port workload mode iters cap fuel bin json =
   (match abort with
   | Some e -> Printf.printf "  measured pass aborted: %s\n" e
   | None -> ());
-  (match bin with
-  | None -> ()
-  | Some path ->
-    let oc = open_out_bin path in
-    Trace.write_binary oc ~port ~mode ~workload tr;
-    close_out oc;
-    Printf.printf "  wrote binary trace to %s\n" path);
-  (match json with
-  | None -> ()
+  match json with
   | Some path ->
     let b = Buffer.create 65536 in
     Chrome_trace.write_trace b ~symbol:(W.symbol_of regions) ~port ~mode ~workload tr;
     let oc = open_out path in
     Buffer.output_buffer oc b;
     close_out oc;
-    Printf.printf "  wrote Chrome trace_event JSON to %s (load in Perfetto)\n" path);
-  if bin = None && json = None then begin
+    Printf.printf "  wrote Chrome trace_event JSON to %s (load in Perfetto)\n" path
+  | None ->
     (* no export requested: print the tail as a smoke report *)
     let recs = Trace.records tr in
     let n = Array.length recs in
@@ -115,7 +107,6 @@ let capture port workload mode iters cap fuel bin json =
       let kind, payload = recs.(i) in
       Printf.printf "    %-12s %s\n" (Trace.kind_name kind) (symbolize regions payload)
     done
-  end
 
 (* ------------------------------------------------------------------ *)
 (* diff                                                                *)
@@ -194,10 +185,6 @@ let fuel_arg =
     & info [ "fuel" ] ~docv:"N" ~doc:"per-call instruction budget (bounds corrupted runs)")
 
 let capture_cmd =
-  let bin_arg =
-    Arg.(
-      value & opt (some string) None & info [ "bin" ] ~docv:"FILE" ~doc:"binary trace output")
-  in
   let json_arg =
     Arg.(
       value
@@ -208,7 +195,7 @@ let capture_cmd =
     (Cmd.info "capture" ~doc:"run one traced workload and export the ring")
     Term.(
       const capture $ Cli.port $ workload_arg $ Cli.mode $ iters_arg $ cap_arg $ fuel_arg
-      $ bin_arg $ json_arg)
+      $ json_arg)
 
 let diff_cmd =
   let mode_a_arg =

@@ -173,98 +173,3 @@ let first_divergence a b =
    incompatible change and asserted by bench/json_check.exe
    --require-schema in runtest and CI. *)
 let json_schema_version = 1
-
-(* Compact binary format, version 1 (all integers little-endian):
-     "VTRC"                     4-byte magic
-     u32  version
-     u16+bytes                  port   (length-prefixed)
-     u16+bytes                  mode
-     u16+bytes                  workload
-     u64  seen                  records ever emitted
-     u64  dropped               seen - retained
-     u64  count                 retained records that follow
-     count * u64                (kind << 48) | payload, oldest first *)
-let binary_version = 1
-
-let put_u16 oc v =
-  output_byte oc (v land 0xff);
-  output_byte oc ((v lsr 8) land 0xff)
-
-let put_u32 oc v =
-  put_u16 oc (v land 0xffff);
-  put_u16 oc ((v lsr 16) land 0xffff)
-
-let put_u64 oc v =
-  put_u32 oc (v land 0xffffffff);
-  put_u32 oc ((v lsr 32) land 0x7fffffff)
-
-let put_str oc s =
-  if String.length s > 0xffff then invalid_arg "Trace.write_binary: string too long";
-  put_u16 oc (String.length s);
-  output_string oc s
-
-let write_binary oc ~port ~mode ~workload t =
-  output_string oc "VTRC";
-  put_u32 oc binary_version;
-  put_str oc port;
-  put_str oc mode;
-  put_str oc workload;
-  put_u64 oc t.seen;
-  put_u64 oc (dropped t);
-  let n = retained t in
-  put_u64 oc n;
-  let first = t.seen - n in
-  for j = 0 to n - 1 do
-    put_u64 oc t.ring.((first + j) land t.mask)
-  done
-
-type dump = {
-  d_port : string;
-  d_mode : string;
-  d_workload : string;
-  d_seen : int;
-  d_dropped : int;
-  d_records : (kind * int) array;
-}
-
-exception Corrupt of string
-
-let get_byte ic =
-  match input_char ic with
-  | c -> Char.code c
-  | exception End_of_file -> raise (Corrupt "truncated trace file")
-
-let get_u16 ic =
-  let a = get_byte ic in
-  a lor (get_byte ic lsl 8)
-
-let get_u32 ic =
-  let a = get_u16 ic in
-  a lor (get_u16 ic lsl 16)
-
-let get_u64 ic =
-  let a = get_u32 ic in
-  a lor (get_u32 ic lsl 32)
-
-let get_str ic =
-  let n = get_u16 ic in
-  let b = Bytes.create n in
-  (try really_input ic b 0 n with End_of_file -> raise (Corrupt "truncated string"));
-  Bytes.to_string b
-
-let read_binary ic =
-  let magic = Bytes.create 4 in
-  (try really_input ic magic 0 4 with End_of_file -> raise (Corrupt "no magic"));
-  if Bytes.to_string magic <> "VTRC" then raise (Corrupt "bad magic (not a VTRC trace)");
-  let v = get_u32 ic in
-  if v <> binary_version then raise (Corrupt (Printf.sprintf "unsupported version %d" v));
-  let d_port = get_str ic in
-  let d_mode = get_str ic in
-  let d_workload = get_str ic in
-  let d_seen = get_u64 ic in
-  let d_dropped = get_u64 ic in
-  let count = get_u64 ic in
-  if count < 0 || count > 1 lsl max_capacity_pow2 then
-    raise (Corrupt (Printf.sprintf "implausible record count %d" count));
-  let d_records = Array.init count (fun _ -> decode (get_u64 ic)) in
-  { d_port; d_mode; d_workload; d_seen; d_dropped; d_records }

@@ -86,23 +86,3 @@ val first_divergence : int array -> int array -> divergence option
 (** schema version stamped into the Chrome JSON export (written by the
     harness [Chrome_trace.write_trace], which vtrace uses) *)
 val json_schema_version : int
-
-(** compact binary format version (see trace.ml for the layout) *)
-val binary_version : int
-
-val write_binary : out_channel -> port:string -> mode:string -> workload:string -> t -> unit
-
-(** a parsed binary trace *)
-type dump = {
-  d_port : string;
-  d_mode : string;
-  d_workload : string;
-  d_seen : int;
-  d_dropped : int;
-  d_records : (kind * int) array;
-}
-
-exception Corrupt of string
-
-(** @raise Corrupt on a malformed or truncated file *)
-val read_binary : in_channel -> dump

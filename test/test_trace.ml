@@ -117,56 +117,6 @@ let test_first_divergence () =
   check div "empty vs nonempty" (Some (0, -1, 7)) (diverge [||] [| 7 |])
 
 (* ------------------------------------------------------------------ *)
-(* Binary round-trip                                                   *)
-
-let test_binary_roundtrip () =
-  let t = Trace.create ~capacity_pow2:8 () in
-  for i = 0 to 299 do
-    Trace.retire t (0x10000 + (4 * i));
-    if i mod 50 = 0 then Trace.mark t Trace.Block_enter (0x10000 + (4 * i))
-  done;
-  Trace.mark t Trace.Fault 0x1f0ff;
-  let path = Filename.temp_file "vtrace_test" ".vtrc" in
-  Fun.protect
-    ~finally:(fun () -> Sys.remove path)
-    (fun () ->
-      let oc = open_out_bin path in
-      Trace.write_binary oc ~port:"mips" ~mode:"blocks" ~workload:"alu-loop" t;
-      close_out oc;
-      let ic = open_in_bin path in
-      let d = Fun.protect ~finally:(fun () -> close_in ic) (fun () -> Trace.read_binary ic) in
-      check Alcotest.string "port" "mips" d.Trace.d_port;
-      check Alcotest.string "mode" "blocks" d.Trace.d_mode;
-      check Alcotest.string "workload" "alu-loop" d.Trace.d_workload;
-      check Alcotest.int "seen" (Trace.seen t) d.Trace.d_seen;
-      check Alcotest.int "dropped" (Trace.dropped t) d.Trace.d_dropped;
-      let live = Trace.records t in
-      check Alcotest.int "record count" (Array.length live) (Array.length d.Trace.d_records);
-      Array.iteri
-        (fun i (k, p) ->
-          let k', p' = d.Trace.d_records.(i) in
-          if k <> k' || p <> p' then
-            Alcotest.failf "record %d: (%s, 0x%x) read back as (%s, 0x%x)" i
-              (Trace.kind_name k) p (Trace.kind_name k') p')
-        live)
-
-let test_binary_rejects_garbage () =
-  let path = Filename.temp_file "vtrace_test" ".vtrc" in
-  Fun.protect
-    ~finally:(fun () -> Sys.remove path)
-    (fun () ->
-      let oc = open_out_bin path in
-      output_string oc "NOPE definitely not a trace";
-      close_out oc;
-      let ic = open_in_bin path in
-      Fun.protect
-        ~finally:(fun () -> close_in ic)
-        (fun () ->
-          match Trace.read_binary ic with
-          | _ -> Alcotest.fail "garbage accepted"
-          | exception Trace.Corrupt _ -> ()))
-
-(* ------------------------------------------------------------------ *)
 (* Emit-site provenance                                                *)
 
 module V = Vcode.Make (Vmips.Mips_backend)
@@ -466,11 +416,6 @@ let () =
           Alcotest.test_case "disabled sink" `Quick test_disabled_sink;
         ] );
       ("differ", [ Alcotest.test_case "first_divergence" `Quick test_first_divergence ]);
-      ( "binary format",
-        [
-          Alcotest.test_case "round-trip" `Quick test_binary_roundtrip;
-          Alcotest.test_case "rejects garbage" `Quick test_binary_rejects_garbage;
-        ] );
       ( "provenance",
         [
           Alcotest.test_case "symbols" `Quick test_provenance_symbols;
