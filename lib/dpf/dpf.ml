@@ -42,39 +42,34 @@ type compiled = {
 }
 
 (* hash-parameter search: h = ((v * mult) >>> shift) & (size-1) must be
-   collision-free over [values] *)
-let find_perfect_hash (values : int list) : (int * int * int) option =
-  let n = List.length values in
-  let sizes = List.filter (fun s -> s >= n) [ 16; 32; 64; 128; 256 ] in
-  let mults = [ 0x9E3779B1; 0x85EBCA6B; 0xC2B2AE35; 0x27220A95 ] in
-  let u32 v = v land 0xFFFFFFFF in
-  let try_one size mult shift =
-    let seen = Hashtbl.create 32 in
-    List.for_all
-      (fun v ->
-        let h = (u32 (u32 v * mult) lsr shift) land (size - 1) in
-        if Hashtbl.mem seen h then false
-        else begin
-          Hashtbl.add seen h ();
-          true
-        end)
-      values
-  in
-  let found = ref None in
-  List.iter
-    (fun size ->
-      List.iter
-        (fun mult ->
-          for shift = 0 to 24 do
-            if !found = None && try_one size mult shift then
-              found := Some (size, mult, shift)
-          done)
-        mults)
-    sizes;
-  !found
+   collision-free over [values].  Sizes 16..256, then multipliers, then
+   shifts 0..24 are tried in that order and the first fit is returned.
+   The products are computed once per multiplier and a try marks the
+   slots it fills with its own stamp in one reused array, so trying
+   allocates nothing. *)
+let hash_mults = [| 0x9E3779B1; 0x85EBCA6B; 0xC2B2AE35; 0x27220A95 |]
+let hash_prod mult v = (v land 0xFFFFFFFF) * mult land 0xFFFFFFFF
+let hash_slot ~size ~mult ~shift v = hash_prod mult v lsr shift land (size - 1)
 
-let hash_slot ~size ~mult ~shift v =
-  ((v land 0xFFFFFFFF) * mult land 0xFFFFFFFF) lsr shift land (size - 1)
+let find_perfect_hash (values : int list) : (int * int * int) option =
+  let keys = Array.of_list values in
+  let n = Array.length keys in
+  let prods = Array.map (fun m -> Array.map (hash_prod m) keys) hash_mults in
+  let stamps = Array.make 256 0 and stamp = ref 0 in
+  let rec fits p size shift i =
+    i = n
+    ||
+    let h = p.(i) lsr shift land (size - 1) in
+    stamps.(h) <> !stamp && (stamps.(h) <- !stamp; fits p size shift (i + 1))
+  in
+  let rec search size m shift =
+    if size > 256 then None
+    else if size < n || m = Array.length hash_mults then search (2 * size) 0 0
+    else if shift > 24 then search size (m + 1) 0
+    else if (incr stamp; fits prods.(m) size shift 0) then Some (size, hash_mults.(m), shift)
+    else search size m (shift + 1)
+  in
+  search 16 0 0
 
 module Make (T : Target.S) = struct
   module V = Vcode.Make (T)

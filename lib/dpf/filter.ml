@@ -162,7 +162,11 @@ let mpf_program ~big_endian (filters : t list) : int array =
   in
   Array.of_list (List.length filters :: body)
 
-let atoms_equal a b = a = b
+let atoms_equal a b =
+  match (a, b) with
+  | Cmp x, Cmp y -> x.offset = y.offset && x.size = y.size && x.mask = y.mask && x.value = y.value
+  | Shift x, Shift y -> x.offset = y.offset && x.size = y.size && x.mask = y.mask && x.shift = y.shift
+  | _ -> false
 
 (* Field identity for switch construction: two Cmp atoms test the same
    field if they agree on everything but the value. *)

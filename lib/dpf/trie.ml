@@ -30,7 +30,7 @@ let rec split_while p = function
     (x :: yes, no)
   | l -> ([], l)
 
-let head_atom (atoms, _) = match atoms with a :: _ -> Some a | [] -> None
+let tail = function _ :: r, fid -> (r, fid) | [], _ -> assert false
 
 (* Build a trie from filters in priority order. *)
 let rec build (filters : (Filter.atom list * int) list) : t =
@@ -41,33 +41,28 @@ let rec build (filters : (Filter.atom list * int) list) : t =
     (* the leading run of filters whose head atom shares a0's field *)
     let run, rest =
       split_while
-        (fun f ->
-          match head_atom f with
-          | Some a -> Filter.atoms_equal a a0 || Filter.same_field a a0
-          | None -> false)
+        (function a :: _, _ -> Filter.atoms_equal a a0 || Filter.same_field a a0 | [], _ -> false)
         filters
     in
-    let strip = function
-      | a :: r, fid -> (a, (r, fid))
-      | [], _ -> assert false
-    in
     let node =
-      if List.for_all (fun f -> match head_atom f with Some a -> Filter.atoms_equal a a0 | None -> false) run
-      then Seq (a0, build (List.map (fun f -> snd (strip f)) run))
+      if List.for_all (function a :: _, _ -> Filter.atoms_equal a a0 | [], _ -> false) run
+      then Seq (a0, build (List.map tail run))
       else begin
-        (* same field, several values: group by value, preserving the
-           order of first occurrence *)
-        let field = field_of_atom a0 in
-        let groups : (int * (Filter.atom list * int) list ref) list ref = ref [] in
+        (* same field, several values: group by value in one pass,
+           preserving the order of first occurrence ([groups] is newest
+           first, so rev_map restores it) *)
+        let index = Hashtbl.create 16 and groups = ref [] in
         List.iter
           (fun f ->
-            let a, restf = strip f in
-            let v = Filter.cmp_value a in
-            match List.assoc_opt v !groups with
-            | Some cell -> cell := restf :: !cell
-            | None -> groups := !groups @ [ (v, ref [ restf ]) ])
+            let v = Filter.cmp_value (List.hd (fst f)) in
+            match Hashtbl.find_opt index v with
+            | Some cell -> cell := tail f :: !cell
+            | None ->
+              let cell = ref [ tail f ] in
+              Hashtbl.add index v cell;
+              groups := (v, cell) :: !groups)
           run;
-        Switch (field, List.map (fun (v, cell) -> (v, build (List.rev !cell))) !groups)
+        Switch (field_of_atom a0, List.rev_map (fun (v, cell) -> (v, build (List.rev !cell))) !groups)
       end
     in
     match rest with [] -> node | _ -> Alt (node, build rest))

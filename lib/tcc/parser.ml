@@ -1,4 +1,7 @@
-(* Recursive-descent parser for the tcc C subset. *)
+(* Recursive-descent parser for the tcc C subset.  Binary operators
+   are parsed by precedence climbing over the [binop] table; tokens are
+   tested by pattern matching and [String.equal], never by polymorphic
+   equality. *)
 
 open Ast
 
@@ -21,11 +24,28 @@ let tok_to_string = function
   | Lexer.PUNCT s -> s
   | Lexer.EOF -> "<eof>"
 
-let expect st (t : Lexer.token) =
-  if peek st = t then advance st
-  else fail (Printf.sprintf "expected %s, found %s" (tok_to_string t) (tok_to_string (peek st)))
+let at_punct st p = match peek st with Lexer.PUNCT q -> String.equal q p | _ -> false
 
-let expect_punct st s = expect st (Lexer.PUNCT s)
+let expect_punct st p =
+  if at_punct st p then advance st
+  else fail (Printf.sprintf "expected %s, found %s" p (tok_to_string (peek st)))
+
+(* consume the punctuator [p] if it is next *)
+let accept st p =
+  if at_punct st p then begin
+    advance st;
+    true
+  end
+  else false
+
+(* [item]s separated by commas, through the closing ")" *)
+let rec comma_list st item =
+  let x = item st in
+  if accept st "," then x :: comma_list st item
+  else begin
+    expect_punct st ")";
+    [ x ]
+  end
 
 let expect_ident st =
   match peek st with
@@ -68,161 +88,66 @@ let parse_base_type st : ty =
   | t -> fail ("expected type, found " ^ tok_to_string t)
 
 let parse_type st : ty =
-  let base = parse_base_type st in
   let rec stars t =
-    if peek st = Lexer.PUNCT "*" then begin
+    match peek st with
+    | Lexer.PUNCT "*" ->
       advance st;
       stars (Tptr t)
-    end
-    else t
+    | _ -> t
   in
-  stars base
+  stars (parse_base_type st)
 
 (* --- expressions ----------------------------------------------------- *)
+
+(* binary operators and their precedence, loosest first; all associate
+   to the left *)
+let binop = function
+  | Lexer.PUNCT p -> (
+    match p with
+    | "||" -> Some (Blor, 1)
+    | "&&" -> Some (Bland, 2)
+    | "|" -> Some (Bor, 3)
+    | "^" -> Some (Bxor, 4)
+    | "&" -> Some (Band, 5)
+    | "==" -> Some (Beq, 6) | "!=" -> Some (Bne, 6)
+    | "<" -> Some (Blt, 7) | "<=" -> Some (Ble, 7) | ">" -> Some (Bgt, 7) | ">=" -> Some (Bge, 7)
+    | "<<" -> Some (Bshl, 8) | ">>" -> Some (Bshr, 8)
+    | "+" -> Some (Badd, 9) | "-" -> Some (Bsub, 9)
+    | "*" -> Some (Bmul, 10) | "/" -> Some (Bdiv, 10) | "%" -> Some (Bmod, 10)
+    | _ -> None)
+  | _ -> None
+
+let compound_op = function
+  | "+=" -> Some Badd | "-=" -> Some Bsub | "*=" -> Some Bmul | "/=" -> Some Bdiv
+  | "%=" -> Some Bmod | "&=" -> Some Band | "|=" -> Some Bor | "^=" -> Some Bxor
+  | "<<=" -> Some Bshl | ">>=" -> Some Bshr
+  | _ -> None
 
 let rec parse_expr st : expr = parse_assign st
 
 and parse_assign st : expr =
-  let lhs = parse_lor st in
+  let lhs = parse_binary st 1 in
   match peek st with
   | Lexer.PUNCT "=" ->
     advance st;
     Eassign (lhs, parse_assign st)
-  | Lexer.PUNCT ("+=" | "-=" | "*=" | "/=" | "%=" | "&=" | "|=" | "^=" | "<<=" | ">>=") ->
-    let p = match peek st with Lexer.PUNCT p -> p | _ -> assert false in
-    advance st;
-    let op =
-      match String.sub p 0 (String.length p - 1) with
-      | "+" -> Badd | "-" -> Bsub | "*" -> Bmul | "/" -> Bdiv | "%" -> Bmod
-      | "&" -> Band | "|" -> Bor | "^" -> Bxor | "<<" -> Bshl | ">>" -> Bshr
-      | _ -> assert false
-    in
-    Eassign (lhs, Ebin (op, lhs, parse_assign st))
+  | Lexer.PUNCT p -> (
+    match compound_op p with
+    | Some op ->
+      advance st;
+      Eassign (lhs, Ebin (op, lhs, parse_assign st))
+    | None -> lhs)
   | _ -> lhs
 
-and parse_lor st =
-  let rec go acc =
-    if peek st = Lexer.PUNCT "||" then begin
-      advance st;
-      go (Ebin (Blor, acc, parse_land st))
-    end
-    else acc
-  in
-  go (parse_land st)
+(* a chain of binary operators binding at least as tight as [min] *)
+and parse_binary st min = climb st min (parse_unary st)
 
-and parse_land st =
-  let rec go acc =
-    if peek st = Lexer.PUNCT "&&" then begin
-      advance st;
-      go (Ebin (Bland, acc, parse_bitor st))
-    end
-    else acc
-  in
-  go (parse_bitor st)
-
-and parse_bitor st =
-  let rec go acc =
-    if peek st = Lexer.PUNCT "|" then begin
-      advance st;
-      go (Ebin (Bor, acc, parse_bitxor st))
-    end
-    else acc
-  in
-  go (parse_bitxor st)
-
-and parse_bitxor st =
-  let rec go acc =
-    if peek st = Lexer.PUNCT "^" then begin
-      advance st;
-      go (Ebin (Bxor, acc, parse_bitand st))
-    end
-    else acc
-  in
-  go (parse_bitand st)
-
-and parse_bitand st =
-  let rec go acc =
-    if peek st = Lexer.PUNCT "&" then begin
-      advance st;
-      go (Ebin (Band, acc, parse_equality st))
-    end
-    else acc
-  in
-  go (parse_equality st)
-
-and parse_equality st =
-  let rec go acc =
-    match peek st with
-    | Lexer.PUNCT "==" ->
-      advance st;
-      go (Ebin (Beq, acc, parse_relational st))
-    | Lexer.PUNCT "!=" ->
-      advance st;
-      go (Ebin (Bne, acc, parse_relational st))
-    | _ -> acc
-  in
-  go (parse_relational st)
-
-and parse_relational st =
-  let rec go acc =
-    match peek st with
-    | Lexer.PUNCT "<" ->
-      advance st;
-      go (Ebin (Blt, acc, parse_shift st))
-    | Lexer.PUNCT "<=" ->
-      advance st;
-      go (Ebin (Ble, acc, parse_shift st))
-    | Lexer.PUNCT ">" ->
-      advance st;
-      go (Ebin (Bgt, acc, parse_shift st))
-    | Lexer.PUNCT ">=" ->
-      advance st;
-      go (Ebin (Bge, acc, parse_shift st))
-    | _ -> acc
-  in
-  go (parse_shift st)
-
-and parse_shift st =
-  let rec go acc =
-    match peek st with
-    | Lexer.PUNCT "<<" ->
-      advance st;
-      go (Ebin (Bshl, acc, parse_additive st))
-    | Lexer.PUNCT ">>" ->
-      advance st;
-      go (Ebin (Bshr, acc, parse_additive st))
-    | _ -> acc
-  in
-  go (parse_additive st)
-
-and parse_additive st =
-  let rec go acc =
-    match peek st with
-    | Lexer.PUNCT "+" ->
-      advance st;
-      go (Ebin (Badd, acc, parse_multiplicative st))
-    | Lexer.PUNCT "-" ->
-      advance st;
-      go (Ebin (Bsub, acc, parse_multiplicative st))
-    | _ -> acc
-  in
-  go (parse_multiplicative st)
-
-and parse_multiplicative st =
-  let rec go acc =
-    match peek st with
-    | Lexer.PUNCT "*" ->
-      advance st;
-      go (Ebin (Bmul, acc, parse_unary st))
-    | Lexer.PUNCT "/" ->
-      advance st;
-      go (Ebin (Bdiv, acc, parse_unary st))
-    | Lexer.PUNCT "%" ->
-      advance st;
-      go (Ebin (Bmod, acc, parse_unary st))
-    | _ -> acc
-  in
-  go (parse_unary st)
+and climb st min lhs =
+  match binop (peek st) with
+  | Some (op, prec) when prec >= min ->
+    advance st;
+    climb st min (Ebin (op, lhs, parse_binary st (prec + 1)))
+  | _ -> lhs
 
 and parse_unary st : expr =
   match peek st with
@@ -257,28 +182,23 @@ and parse_unary st : expr =
     let t = parse_type st in
     expect_punct st ")";
     Ecast (t, parse_unary st)
-  | _ -> parse_postfix st
+  | _ -> postfix st (parse_primary st)
 
-and parse_postfix st : expr =
-  let e = ref (parse_primary st) in
-  let continue_ = ref true in
-  while !continue_ do
-    match peek st with
-    | Lexer.PUNCT "[" ->
-      advance st;
-      let idx = parse_expr st in
-      expect_punct st "]";
-      e := Eindex (!e, idx)
-    | Lexer.PUNCT "++" ->
-      (* NOTE: value semantics are "after increment" (see ast.ml) *)
-      advance st;
-      e := Eassign (!e, Ebin (Badd, !e, Eint 1))
-    | Lexer.PUNCT "--" ->
-      advance st;
-      e := Eassign (!e, Ebin (Bsub, !e, Eint 1))
-    | _ -> continue_ := false
-  done;
-  !e
+and postfix st e =
+  match peek st with
+  | Lexer.PUNCT "[" ->
+    advance st;
+    let idx = parse_expr st in
+    expect_punct st "]";
+    postfix st (Eindex (e, idx))
+  | Lexer.PUNCT "++" ->
+    (* NOTE: value semantics are "after increment" (see ast.ml) *)
+    advance st;
+    postfix st (Eassign (e, Ebin (Badd, e, Eint 1)))
+  | Lexer.PUNCT "--" ->
+    advance st;
+    postfix st (Eassign (e, Ebin (Bsub, e, Eint 1)))
+  | _ -> e
 
 and parse_primary st : expr =
   match peek st with
@@ -287,19 +207,7 @@ and parse_primary st : expr =
     Eint v
   | Lexer.IDENT name ->
     advance st;
-    if peek st = Lexer.PUNCT "(" then begin
-      advance st;
-      let args = ref [] in
-      if peek st <> Lexer.PUNCT ")" then begin
-        args := [ parse_expr st ];
-        while peek st = Lexer.PUNCT "," do
-          advance st;
-          args := parse_expr st :: !args
-        done
-      end;
-      expect_punct st ")";
-      Ecall (name, List.rev !args)
-    end
+    if accept st "(" then Ecall (name, if accept st ")" then [] else comma_list st parse_expr)
     else Evar name
   | Lexer.PUNCT "(" ->
     advance st;
@@ -308,114 +216,72 @@ and parse_primary st : expr =
     e
   | t -> fail ("expected expression, found " ^ tok_to_string t)
 
+let paren_expr st =
+  expect_punct st "(";
+  let e = parse_expr st in
+  expect_punct st ")";
+  e
+
+(* an expression unless the punctuator [p] comes first *)
+let opt_expr st p = if at_punct st p then None else Some (parse_expr st)
+
+(* the "N];" that ends an array declarator *)
+let array_size st what =
+  match peek st with
+  | Lexer.INT n when n > 0 ->
+    advance st;
+    expect_punct st "]";
+    expect_punct st ";";
+    n
+  | _ -> fail (what ^ " size must be a positive integer literal")
+
 (* --- statements ------------------------------------------------------ *)
 
 let rec parse_stmt st : stmt =
   match peek st with
   | Lexer.PUNCT "{" ->
     advance st;
-    let body = ref [] in
-    while peek st <> Lexer.PUNCT "}" do
-      body := parse_stmt st :: !body
-    done;
+    Sblock (block st [])
+  | Lexer.KW "if" -> (
     advance st;
-    Sblock (List.rev !body)
-  | Lexer.KW "if" ->
-    advance st;
-    expect_punct st "(";
-    let c = parse_expr st in
-    expect_punct st ")";
+    let c = paren_expr st in
     let then_ = parse_stmt st in
-    if peek st = Lexer.KW "else" then begin
+    match peek st with
+    | Lexer.KW "else" ->
       advance st;
       Sif (c, then_, Some (parse_stmt st))
-    end
-    else Sif (c, then_, None)
+    | _ -> Sif (c, then_, None))
   | Lexer.KW "while" ->
     advance st;
-    expect_punct st "(";
-    let c = parse_expr st in
-    expect_punct st ")";
+    let c = paren_expr st in
     Swhile (c, parse_stmt st)
   | Lexer.KW "do" ->
     advance st;
     let body = parse_stmt st in
-    expect st (Lexer.KW "while");
-    expect_punct st "(";
-    let c = parse_expr st in
-    expect_punct st ")";
+    (match peek st with
+    | Lexer.KW "while" -> advance st
+    | t -> fail ("expected while, found " ^ tok_to_string t));
+    let c = paren_expr st in
     expect_punct st ";";
     Sdo (body, c)
   | Lexer.KW "for" ->
     advance st;
     expect_punct st "(";
-    let init = if peek st = Lexer.PUNCT ";" then None else Some (parse_expr st) in
+    let init = opt_expr st ";" in
     expect_punct st ";";
-    let cond = if peek st = Lexer.PUNCT ";" then None else Some (parse_expr st) in
+    let cond = opt_expr st ";" in
     expect_punct st ";";
-    let update = if peek st = Lexer.PUNCT ")" then None else Some (parse_expr st) in
+    let update = opt_expr st ")" in
     expect_punct st ")";
     Sfor (init, cond, update, parse_stmt st)
   | Lexer.KW "switch" ->
     advance st;
-    expect_punct st "(";
-    let e = parse_expr st in
-    expect_punct st ")";
+    let e = paren_expr st in
     expect_punct st "{";
-    let arms = ref [] in
-    let parse_labels () =
-      let labs = ref [] in
-      let continue_ = ref true in
-      while !continue_ do
-        match peek st with
-        | Lexer.KW "case" ->
-          advance st;
-          let v =
-            match peek st with
-            | Lexer.INT v ->
-              advance st;
-              v
-            | Lexer.PUNCT "-" -> (
-              advance st;
-              match peek st with
-              | Lexer.INT v ->
-                advance st;
-                -v
-              | _ -> fail "case expects an integer literal")
-            | _ -> fail "case expects an integer literal"
-          in
-          expect_punct st ":";
-          labs := Cint v :: !labs
-        | Lexer.KW "default" ->
-          advance st;
-          expect_punct st ":";
-          labs := Cdefault :: !labs
-        | _ -> continue_ := false
-      done;
-      List.rev !labs
-    in
-    while peek st <> Lexer.PUNCT "}" do
-      let labs = parse_labels () in
-      if labs = [] then fail "expected case or default label";
-      let body = ref [] in
-      let stop () =
-        match peek st with
-        | Lexer.PUNCT "}" | Lexer.KW "case" | Lexer.KW "default" -> true
-        | _ -> false
-      in
-      while not (stop ()) do
-        body := parse_stmt st :: !body
-      done;
-      arms := (labs, List.rev !body) :: !arms
-    done;
-    advance st;
-    Sswitch (e, List.rev !arms)
+    Sswitch (e, arms st [])
   | Lexer.KW "return" ->
     advance st;
-    if peek st = Lexer.PUNCT ";" then begin
-      advance st;
-      Sreturn None
-    end
+    if accept st ";" then Sreturn None
     else begin
       let e = parse_expr st in
       expect_punct st ";";
@@ -432,27 +298,9 @@ let rec parse_stmt st : stmt =
   | Lexer.KW _ when starts_type st ->
     let t = parse_type st in
     let name = expect_ident st in
-    if peek st = Lexer.PUNCT "[" then begin
-      advance st;
-      let n =
-        match peek st with
-        | Lexer.INT n when n > 0 ->
-          advance st;
-          n
-        | _ -> fail "array size must be a positive integer literal"
-      in
-      expect_punct st "]";
-      expect_punct st ";";
-      Sdecl_arr (t, name, n)
-    end
+    if accept st "[" then Sdecl_arr (t, name, array_size st "array")
     else begin
-      let init =
-        if peek st = Lexer.PUNCT "=" then begin
-          advance st;
-          Some (parse_expr st)
-        end
-        else None
-      in
+      let init = if accept st "=" then Some (parse_expr st) else None in
       expect_punct st ";";
       Sdecl (t, name, init)
     end
@@ -461,34 +309,62 @@ let rec parse_stmt st : stmt =
     expect_punct st ";";
     Sexpr e
 
+(* statements through the closing "}" *)
+and block st acc = if accept st "}" then List.rev acc else block st (parse_stmt st :: acc)
+
+(* switch arms through the closing "}": each is its case labels and the
+   statements up to the next label *)
+and arms st acc =
+  if accept st "}" then List.rev acc
+  else
+    match labels st [] with
+    | [] -> fail "expected case or default label"
+    | labs -> arms st ((labs, arm_body st []) :: acc)
+
+and labels st acc =
+  match peek st with
+  | Lexer.KW "case" -> (
+    advance st;
+    let neg = accept st "-" in
+    match peek st with
+    | Lexer.INT v ->
+      advance st;
+      expect_punct st ":";
+      labels st (Cint (if neg then -v else v) :: acc)
+    | _ -> fail "case expects an integer literal")
+  | Lexer.KW "default" ->
+    advance st;
+    expect_punct st ":";
+    labels st (Cdefault :: acc)
+  | _ -> List.rev acc
+
+and arm_body st acc =
+  match peek st with
+  | Lexer.PUNCT "}" | Lexer.KW ("case" | "default") -> List.rev acc
+  | _ -> arm_body st (parse_stmt st :: acc)
+
 (* --- functions and translation units --------------------------------- *)
+
+let parse_param st =
+  let t = parse_type st in
+  let n = expect_ident st in
+  (t, n)
 
 let parse_func st fret fname : func =
   expect_punct st "(";
-  let params = ref [] in
-  if peek st <> Lexer.PUNCT ")" then begin
-    (match peek st with
-    | Lexer.KW "void" when peek2 st = Lexer.PUNCT ")" -> advance st
-    | _ ->
-      let p () =
-        let t = parse_type st in
-        let n = expect_ident st in
-        (t, n)
-      in
-      params := [ p () ];
-      while peek st = Lexer.PUNCT "," do
-        advance st;
-        params := p () :: !params
-      done)
-  end;
-  expect_punct st ")";
+  let fparams =
+    match (peek st, peek2 st) with
+    | Lexer.PUNCT ")", _ ->
+      advance st;
+      []
+    | Lexer.KW "void", Lexer.PUNCT ")" ->
+      advance st;
+      advance st;
+      []
+    | _ -> comma_list st parse_param
+  in
   expect_punct st "{";
-  let body = ref [] in
-  while peek st <> Lexer.PUNCT "}" do
-    body := parse_stmt st :: !body
-  done;
-  advance st;
-  { fname; fret; fparams = List.rev !params; fbody = List.rev !body }
+  { fname; fret; fparams; fbody = block st [] }
 
 let parse_item st : item =
   let t = parse_type st in
@@ -497,16 +373,7 @@ let parse_item st : item =
   | Lexer.PUNCT "(" -> Ifunc (parse_func st t name)
   | Lexer.PUNCT "[" ->
     advance st;
-    let n =
-      match peek st with
-      | Lexer.INT n when n > 0 ->
-        advance st;
-        n
-      | _ -> fail "global array size must be a positive integer literal"
-    in
-    expect_punct st "]";
-    expect_punct st ";";
-    Iglobal (t, name, Some n)
+    Iglobal (t, name, Some (array_size st "global array"))
   | Lexer.PUNCT ";" ->
     advance st;
     Iglobal (t, name, None)
@@ -514,8 +381,7 @@ let parse_item st : item =
 
 let parse_unit (src : string) : unit_ =
   let st = { toks = Lexer.tokenize src } in
-  let items = ref [] in
-  while peek st <> Lexer.EOF do
-    items := parse_item st :: !items
-  done;
-  List.rev !items
+  let rec items acc =
+    match peek st with Lexer.EOF -> List.rev acc | _ -> items (parse_item st :: acc)
+  in
+  items []

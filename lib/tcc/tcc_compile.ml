@@ -72,10 +72,11 @@ module Make (T : Target.S) = struct
     mutable cont_labs : int list;
   }
 
-  let lookup_var ctx name =
-    match List.assoc_opt name ctx.vars with
-    | Some v -> Some v
-    | None -> None
+  let rec assoc_var name = function
+    | [] -> None
+    | (n, v) :: rest -> if String.equal n name then Some v else assoc_var name rest
+
+  let lookup_var ctx name = assoc_var name ctx.vars
 
   let lookup_global ctx name = Hashtbl.find_opt ctx.globals name
 

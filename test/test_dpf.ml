@@ -74,6 +74,135 @@ let test_trie_sharing () =
   (* 3 Seq + 1 Switch + 10 Leafs = 14 nodes, far fewer than 10*4 atoms *)
   check Alcotest.int "nodes" 14 (Trie.count_nodes trie)
 
+(* The list-based trie builder that the linear one replaced, kept as
+   its reference: [Trie.build] must give a structurally equal trie. *)
+module Old_trie = struct
+  open Trie
+
+  let rec split_while p = function
+    | x :: rest when p x ->
+      let yes, no = split_while p rest in
+      (x :: yes, no)
+    | l -> ([], l)
+
+  let head_atom (atoms, _) = match atoms with a :: _ -> Some a | [] -> None
+
+  let rec build (filters : (Filter.atom list * int) list) : t =
+    match filters with
+    | [] -> Fail
+    | ([], fid) :: _ -> Leaf fid
+    | (a0 :: _, _) :: _ -> (
+      let run, rest =
+        split_while
+          (fun f ->
+            match head_atom f with
+            | Some a -> a = a0 || Filter.same_field a a0
+            | None -> false)
+          filters
+      in
+      let strip = function
+        | a :: r, fid -> (a, (r, fid))
+        | [], _ -> assert false
+      in
+      let node =
+        if List.for_all (fun f -> match head_atom f with Some a -> a = a0 | None -> false) run
+        then Seq (a0, build (List.map (fun f -> snd (strip f)) run))
+        else begin
+          let field = field_of_atom a0 in
+          let groups : (int * (Filter.atom list * int) list ref) list ref = ref [] in
+          List.iter
+            (fun f ->
+              let a, restf = strip f in
+              let v = Filter.cmp_value a in
+              match List.assoc_opt v !groups with
+              | Some cell -> cell := restf :: !cell
+              | None -> groups := !groups @ [ (v, ref [ restf ]) ])
+            run;
+          Switch (field, List.map (fun (v, cell) -> (v, build (List.rev !cell))) !groups)
+        end
+      in
+      match rest with [] -> node | _ -> Alt (node, build rest))
+end
+
+(* filters over a few fields and few values, so that runs share fields,
+   values repeat and fields interleave; about one atom in six a Shift *)
+let gen_dense_filters st =
+  let int = QCheck.Gen.int_bound in
+  let atom () : Filter.atom =
+    let offset = [| 0; 2; 9 |].(int 2 st) and size = [| 1; 2 |].(int 1 st) in
+    if int 5 st = 0 then Filter.Shift { offset; size; mask = 0x0F; shift = int 2 st }
+    else
+      let mask = if int 3 st = 0 then 0x0F else 0xFF in
+      Filter.Cmp { offset; size; mask; value = int 3 st land mask }
+  in
+  List.init (1 + int 39 st) (fun fid -> Filter.make ~fid (List.init (int 4 st) (fun _ -> atom ())))
+
+let prop_trie_equals_old_builder =
+  QCheck.Test.make ~name:"trie == old list-based builder" ~count:1000
+    (QCheck.make ~print:(fun fs -> Printf.sprintf "%d filters" (List.length fs)) gen_dense_filters)
+    (fun filters ->
+      Trie.of_filters filters
+      = Old_trie.build (List.map (fun (f : Filter.t) -> (f.Filter.atoms, f.Filter.fid)) filters))
+
+(* The hash search that the allocation-free one replaced, kept as its
+   reference: the same (size, mult, shift) must come out. *)
+let old_find_perfect_hash (values : int list) : (int * int * int) option =
+  let n = List.length values in
+  let sizes = List.filter (fun s -> s >= n) [ 16; 32; 64; 128; 256 ] in
+  let mults = [ 0x9E3779B1; 0x85EBCA6B; 0xC2B2AE35; 0x27220A95 ] in
+  let u32 v = v land 0xFFFFFFFF in
+  let try_one size mult shift =
+    let seen = Hashtbl.create 32 in
+    List.for_all
+      (fun v ->
+        let h = (u32 (u32 v * mult) lsr shift) land (size - 1) in
+        if Hashtbl.mem seen h then false
+        else begin
+          Hashtbl.add seen h ();
+          true
+        end)
+      values
+  in
+  let found = ref None in
+  List.iter
+    (fun size ->
+      List.iter
+        (fun mult ->
+          for shift = 0 to 24 do
+            if !found = None && try_one size mult shift then
+              found := Some (size, mult, shift)
+          done)
+        mults)
+    sizes;
+  !found
+
+(* 2,000 seeded key sets of 1..300 keys: mostly small sets, which have a
+   perfect hash, and some over 256 or too dense, which have none; keys
+   from a narrow range (duplicates), 16-bit ports, and full-width ints
+   above 2^32 *)
+let test_hash_search_matches_old () =
+  let st = Random.State.make [| 1996 |] in
+  let int = Random.State.int st in
+  let found = ref 0 and none = ref 0 in
+  for _ = 1 to 2000 do
+    let n = if int 4 = 0 then 1 + int 300 else 1 + int 40 in
+    let key () =
+      match int 4 with
+      | 0 -> int 64
+      | 1 -> int 65536
+      | 2 -> Random.State.bits st lor (Random.State.bits st lsl 30)
+      | _ -> (1 lsl 32) + int 1_000_000
+    in
+    let keys = List.init n (fun _ -> key ()) in
+    let want = old_find_perfect_hash keys in
+    if want = None then incr none else incr found;
+    if Dpf.find_perfect_hash keys <> want then
+      Alcotest.failf "hash search differs on [%s]" (String.concat "; " (List.map string_of_int keys))
+  done;
+  (* both outcomes are exercised *)
+  Alcotest.(check bool) "some sets hash" true (!found > 100);
+  Alcotest.(check bool) "some sets do not" true (!none > 100)
+
 (* ------------------------------------------------------------------ *)
 (* DPF compiled classifier                                             *)
 
@@ -326,6 +455,8 @@ let () =
         [
           qtest prop_trie_matches_filters;
           Alcotest.test_case "prefix sharing" `Quick test_trie_sharing;
+          qtest prop_trie_equals_old_builder;
+          Alcotest.test_case "hash search == old search" `Quick test_hash_search_matches_old;
         ] );
       ( "dpf",
         [

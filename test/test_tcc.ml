@@ -3,7 +3,16 @@
    A sample of programs also runs on SPARC and Alpha to check the
    machine-independence claim of section 4.1. *)
 
-module C = Tcc.Tcc_compile.Make (Vmips.Mips_backend)
+(* every program compiled here is also lexed by the old tokenizer in
+   Lexer_oracle, which must agree with the scanner *)
+module C = struct
+  module M = Tcc.Tcc_compile.Make (Vmips.Mips_backend)
+  include M
+
+  let compile ?base ?data_base ?externs src =
+    Lexer_oracle.agree src;
+    M.compile ?base ?data_base ?externs src
+end
 module Sim = Vmips.Mips_sim
 
 let check = Alcotest.check

@@ -383,6 +383,15 @@ let prop_random_c_programs =
       | expect -> List.for_all (fun (_, v) -> v = expect) (compile_and_run_all f a b)
       | exception Out_of_fuel -> QCheck.assume_fail ())
 
+(* the scanner and the old tokenizer (Lexer_oracle) agree on generated
+   programs *)
+let prop_lexers_agree =
+  QCheck.Test.make ~name:"random C programs: scanner == old tokenizer" ~count:500
+    (QCheck.make ~print:func_to_c gen_func)
+    (fun f ->
+      Lexer_oracle.agree (func_to_c f);
+      true)
+
 let () =
   Alcotest.run "tcc-fuzz"
-    [ ("differential", [ qtest prop_random_c_programs ]) ]
+    [ ("differential", [ qtest prop_random_c_programs; qtest prop_lexers_agree ]) ]
