@@ -547,6 +547,11 @@ let known_mnemonic mn =
 (* ------------------------------------------------------------------ *)
 (* Assembly                                                            *)
 
+(* The most bytes an image may span: the largest simulated memory
+   ([Vmachine.Mconfig.router]), so pass 2 never allocates a word array
+   for a program no machine could load. *)
+let max_span = 8 * 1024 * 1024
+
 let assemble_exn ?(base = 0x10000) src =
   if base land 3 <> 0 then error ~line:0 ~col:0 "base address 0x%x is not word-aligned" base;
   let symbols : (string, int) Hashtbl.t = Hashtbl.create 64 in
@@ -554,7 +559,12 @@ let assemble_exn ?(base = 0x10000) src =
   let stmts = ref [] in
   let loc = ref base in
   let limit = ref base in
-  let bump n =
+  (* advance the location counter by [n >= 0] bytes; compared before
+     adding, so a huge [n] cannot wrap the counter *)
+  let bump ~line col n =
+    if n > max_span - (!loc - base) then
+      error ~line ~col "image would span more than 0x%x bytes from 0x%x (the largest machine memory)"
+        max_span base;
     loc := !loc + n;
     if !loc > !limit then limit := !loc
   in
@@ -599,39 +609,38 @@ let assemble_exn ?(base = 0x10000) src =
           | [ n ] ->
             if n land 3 <> 0 then err mcol ".org address 0x%x is not word-aligned" n;
             if n < !loc then err mcol ".org 0x%x moves the location counter backward (at 0x%x)" n !loc;
-            loc := n;
-            if n > !limit then limit := n
+            bump ~line mcol (n - !loc)
           | _ -> err mcol ".org expects one address")
         | ".align" -> (
           match nints () with
           | [ k ] when k >= 0 && k <= 12 ->
             let a = 1 lsl k in
             let n = (!loc + a - 1) land lnot (a - 1) in
-            bump (n - !loc)
+            bump ~line mcol (n - !loc)
           | _ -> err mcol ".align expects a power-of-two exponent (0..12)")
         | ".space" -> (
           match nints () with
-          | [ n ] when n >= 0 -> bump n
+          | [ n ] when n >= 0 -> bump ~line mcol n
           | _ -> err mcol ".space expects a non-negative byte count")
         | ".word" ->
           if ops = [] then err mcol ".word expects at least one value";
           if !loc land 3 <> 0 then err mcol ".word at unaligned address 0x%x (use .align 2)" !loc;
           record ();
-          bump (4 * List.length ops)
+          bump ~line mcol (4 * List.length ops)
         | ".half" ->
           if ops = [] then err mcol ".half expects at least one value";
           if !loc land 1 <> 0 then err mcol ".half at unaligned address 0x%x (use .align 1)" !loc;
           record ();
-          bump (2 * List.length ops)
+          bump ~line mcol (2 * List.length ops)
         | ".byte" ->
           if ops = [] then err mcol ".byte expects at least one value";
           record ();
-          bump (List.length ops)
+          bump ~line mcol (List.length ops)
         | ".asciiz" -> (
           match (str, ops) with
           | Some (s, _), [] ->
             record ();
-            bump (String.length s + 1)
+            bump ~line mcol (String.length s + 1)
           | _ -> err mcol ".asciiz expects one string literal")
         | _ -> err mcol "unknown directive %s" mn)
       | (Tid mn, mcol) :: rest ->
@@ -641,7 +650,7 @@ let assemble_exn ?(base = 0x10000) src =
         let ops = parse_operands ~line rest in
         let words = insn_words ~line ~mcol mn ops in
         stmts := Insn { mn; mcol; ops; line; loc = !loc } :: !stmts;
-        bump (4 * words)
+        bump ~line mcol (4 * words)
       | (_, c) :: _ -> err c "expected label, mnemonic or directive")
     lines;
   let stmts = List.rev !stmts in

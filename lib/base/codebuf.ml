@@ -83,21 +83,9 @@ let to_array t = Array.sub t.words 0 t.len
    available at [pos]. *)
 let blit_to_bytes t ~big_endian dst pos =
   for i = 0 to t.len - 1 do
-    let w = t.words.(i) in
-    let b0 = w land 0xff and b1 = (w lsr 8) land 0xff in
-    let b2 = (w lsr 16) land 0xff and b3 = (w lsr 24) land 0xff in
-    let o = pos + (4 * i) in
-    if big_endian then begin
-      Bytes.unsafe_set dst o (Char.unsafe_chr b3);
-      Bytes.unsafe_set dst (o + 1) (Char.unsafe_chr b2);
-      Bytes.unsafe_set dst (o + 2) (Char.unsafe_chr b1);
-      Bytes.unsafe_set dst (o + 3) (Char.unsafe_chr b0)
-    end else begin
-      Bytes.unsafe_set dst o (Char.unsafe_chr b0);
-      Bytes.unsafe_set dst (o + 1) (Char.unsafe_chr b1);
-      Bytes.unsafe_set dst (o + 2) (Char.unsafe_chr b2);
-      Bytes.unsafe_set dst (o + 3) (Char.unsafe_chr b3)
-    end
+    let w = Int32.of_int t.words.(i) in
+    if big_endian then Bytes.set_int32_be dst (pos + (4 * i)) w
+    else Bytes.set_int32_le dst (pos + (4 * i)) w
   done
 
 (* Approximate live heap words consumed by the buffer itself; used by the

@@ -30,7 +30,7 @@
      instruction's retirement moves into [pc]; [npc] is unused.
 
    Tier-up.  A translating machine does not translate a call until its
-   entry has proved hot: [run] counts calls per entry pc in a sparse
+   entry has proved hot: [run] counts calls per entry pc in a flat
    table ([Calls]), and the first [hot_calls] calls of an entry run in
    the port's interpreter loop with the decode cache off — no fill, no
    block lookup, no compile.  Those calls share a budget of
@@ -50,88 +50,174 @@
 let hot_calls = 64
 let cold_budget = 2048
 
-(* Per-entry call counts behind the tier-up policy: a hash table keyed
-   by the 256-byte granule of a call entry, each granule listing the
-   entries [run] was called at inside it (in practice one), plus one
-   bit per granule of memory saying whether the table holds it, and
-   the conservative byte span [lo, hi) of counted entries.  The write
-   watcher dismisses a store outside the span with two comparisons, as
-   {!Block_cache.invalidate} does, and one inside it (guest data
-   between code, such as e2e sim-hot's packet and corpus arrays) with
-   a bit test per granule; only a write over a counted entry's granule
-   touches the table. *)
+(* Per-entry call counts behind the tier-up policy, in a flat int
+   array indexed by the 256-byte granule of a call entry: word [2g]
+   holds the entry counted in granule [g] (or -1), word [2g+1] its
+   packed state, the cold calls so far above [left_bits] and the
+   entry's remaining cold budget below.  The array grows lazily to the
+   highest granule counted, as {!Block_cache}'s slots do.  A second
+   entry in an occupied granule (a tcc unit puts several functions
+   within 256 bytes), or one outside memory, goes to a small overflow
+   array of (entry, state) pairs, searched linearly.  A granule that
+   counts any entry has its own slot occupied, so the write watcher
+   needs one array load to dismiss a store into a granule with no
+   counted entry, and the conservative byte span [lo, hi) of counted
+   entries dismisses a store outside it with two comparisons, as
+   {!Block_cache.invalidate} does.
+
+   An entry's count is reached through a handle: the index of its state
+   word in [slots], or the complement of its index in [over].  A handle
+   is only good until the next [add] or [forget]. *)
 module Calls = struct
-  module H = Hashtbl.Make (Int)
-
-  (* [n]: cold calls so far; [left]: the entry's remaining cold budget *)
-  type cell = { entry : int; mutable n : int; mutable left : int }
-
-  type t = { counts : cell list H.t; marks : Bytes.t; mutable lo : int; mutable hi : int }
-
   let granule_shift = 8
+  let left_bits = 12
+  let left_mask = (1 lsl left_bits) - 1
+  let one_call = 1 lsl left_bits
+  let () = assert (cold_budget <= left_mask)
+
+  (* the largest call count a state word holds; [Make.create] caps
+     [hot_calls] there *)
+  let max_calls = max_int lsr left_bits
+
+  (* no entry: a state word sits at an odd index of [slots] *)
+  let absent = 0
+
+  type t = {
+    mutable slots : int array;
+    limit : int;              (* two words per granule of memory: growth ceiling *)
+    mutable over : int array; (* overflow (entry, state) pairs in [0, 2 * n_over) *)
+    mutable n_over : int;
+    mutable live : int;       (* entries counted, both tables *)
+    mutable lo : int;
+    mutable hi : int;
+  }
 
   let create ~mem_bytes =
-    { counts = H.create 64; marks = Bytes.make ((mem_bytes lsr granule_shift) / 8 + 1) '\000';
+    let limit = 2 * ((mem_bytes + (1 lsl granule_shift) - 1) lsr granule_shift) in
+    { slots = Array.make (min 512 limit) (-1); limit; over = [||]; n_over = 0; live = 0;
       lo = max_int; hi = 0 }
 
-  (* granules past the end of memory are never marked: no write can
-     reach them *)
-  let marked t g =
-    let i = g lsr 3 in
-    i < Bytes.length t.marks && Char.code (Bytes.unsafe_get t.marks i) land (1 lsl (g land 7)) <> 0
+  let[@inline] count st = st lsr left_bits
+  let[@inline] left st = st land left_mask
 
-  let set_mark t g on =
-    let i = g lsr 3 in
-    if i < Bytes.length t.marks then begin
-      let b = Char.code (Bytes.get t.marks i) and bit = 1 lsl (g land 7) in
-      Bytes.set t.marks i (Char.unsafe_chr (if on then b lor bit else b land lnot bit))
+  let[@inline] get t h =
+    if h > 0 then Array.unsafe_get t.slots h else Array.unsafe_get t.over (lnot h)
+
+  let[@inline] set t h st =
+    if h > 0 then Array.unsafe_set t.slots h st else Array.unsafe_set t.over (lnot h) st
+
+  let rec find_over t entry j =
+    if j >= t.n_over then absent
+    else if Array.unsafe_get t.over (2 * j) = entry then lnot ((2 * j) + 1)
+    else find_over t entry (j + 1)
+
+  (* the handle of [entry]'s count, or [absent]; a negative entry's
+     index fails the bounds test *)
+  let[@inline] find t entry =
+    let i = (entry lsr granule_shift) lsl 1 in
+    if i < Array.length t.slots && Array.unsafe_get t.slots i = entry then i + 1
+    else if t.n_over = 0 then absent
+    else find_over t entry 0
+
+  let grow t i =
+    let n = ref (Array.length t.slots) in
+    while !n <= i do
+      n := 2 * !n
+    done;
+    let slots = Array.make (min !n t.limit) (-1) in
+    Array.blit t.slots 0 slots 0 (Array.length t.slots);
+    t.slots <- slots
+
+  let add_over t entry =
+    if 2 * t.n_over = Array.length t.over then begin
+      let over = Array.make (max 16 (4 * t.n_over)) 0 in
+      Array.blit t.over 0 over 0 (2 * t.n_over);
+      t.over <- over
+    end;
+    let j = 2 * t.n_over in
+    t.over.(j) <- entry;
+    t.over.(j + 1) <- cold_budget;
+    t.n_over <- t.n_over + 1;
+    lnot (j + 1)
+
+  (* count [entry] from now on, with no calls made and the whole cold
+     budget left; returns its handle *)
+  let add t entry =
+    if entry < t.lo then t.lo <- entry;
+    if entry + 4 > t.hi then t.hi <- entry + 4;
+    t.live <- t.live + 1;
+    let i = (entry lsr granule_shift) lsl 1 in
+    if i < t.limit then begin
+      if i >= Array.length t.slots then grow t i;
+      if t.slots.(i) < 0 then begin
+        t.slots.(i) <- entry;
+        t.slots.(i + 1) <- cold_budget;
+        i + 1
+      end
+      else add_over t entry
     end
+    else add_over t entry
 
-  (* no closure: [cell] runs on every call and allocates nothing once
-     the entry is counted *)
-  let rec find_in entry = function
-    | [] -> raise Not_found
-    | c :: rest -> if c.entry = entry then c else find_in entry rest
+  (* a cold call at [entry] retired [n] instructions of its budget *)
+  let spend t entry n =
+    let h = find t entry in
+    if h <> absent then set t h (get t h - n)
 
-  (* the count cell of [entry], created cold *)
-  let cell t entry =
-    let g = entry lsr granule_shift in
-    let cs = match H.find t.counts g with cs -> cs | exception Not_found -> [] in
-    match find_in entry cs with
-    | c -> c
-    | exception Not_found ->
-      let c = { entry; n = 0; left = cold_budget } in
-      H.replace t.counts g (c :: cs);
-      set_mark t g true;
-      if entry < t.lo then t.lo <- entry;
-      if entry + 4 > t.hi then t.hi <- entry + 4;
-      c
+  (* [entry] escaped its budget: its count is [hot] from now on *)
+  let heat t entry hot =
+    let h = find t entry in
+    if h <> absent then set t h ((hot lsl left_bits) lor left (get t h))
 
   let clear t =
-    H.reset t.counts;
-    Bytes.fill t.marks 0 (Bytes.length t.marks) '\000';
+    Array.fill t.slots 0 (Array.length t.slots) (-1);
+    t.n_over <- 0;
+    t.live <- 0;
     t.lo <- max_int;
     t.hi <- 0
 
-  (* Forget every entry whose first word overlaps [addr, addr+len). *)
+  (* move the last overflow pair into pair [j] *)
+  let remove_over t j =
+    let l = 2 * (t.n_over - 1) in
+    t.over.(2 * j) <- t.over.(l);
+    t.over.((2 * j) + 1) <- t.over.(l + 1);
+    t.n_over <- t.n_over - 1
+
+  (* Forget every entry whose first word overlaps [addr, addr+len).  In
+     a granule that loses its slot's entry, an overflow entry of the
+     same granule moves into the slot. *)
   let forget t addr len =
     if len > 0 && addr < t.hi && addr + len > t.lo then begin
       let last = addr + len in
-      let g0 = (max (addr - 3) t.lo) lsr granule_shift in
+      let g0 = (max (max 0 (addr - 3)) t.lo) lsr granule_shift in
       let g1 = (min (last - 1) (t.hi - 1)) lsr granule_shift in
+      let g1 = min g1 ((Array.length t.slots / 2) - 1) in
       for g = g0 to g1 do
-        if marked t g then begin
-          let cs = H.find t.counts g in
-          match List.filter (fun c -> c.entry + 4 <= addr || c.entry >= last) cs with
-          | [] ->
-            H.remove t.counts g;
-            set_mark t g false
-          | kept -> if List.compare_lengths kept cs <> 0 then H.replace t.counts g kept
+        let i = 2 * g in
+        let e = Array.unsafe_get t.slots i in
+        if e >= 0 then begin
+          if e + 4 > addr && e < last then begin
+            t.slots.(i) <- -1;
+            t.live <- t.live - 1
+          end;
+          let j = ref 0 in
+          while !j < t.n_over do
+            let oe = t.over.(2 * !j) in
+            if oe lsr granule_shift <> g then incr j
+            else if oe + 4 > addr && oe < last then begin
+              remove_over t !j;
+              t.live <- t.live - 1
+            end
+            else if t.slots.(i) < 0 then begin
+              t.slots.(i) <- oe;
+              t.slots.(i + 1) <- t.over.((2 * !j) + 1);
+              remove_over t !j
+            end
+            else incr j
+          done
         end
       done;
-      (* an empty table has no marks left: reopen the two-comparison
-         fast path *)
-      if H.length t.counts = 0 then begin
+      (* nothing counted: reopen the two-comparison fast path *)
+      if t.live = 0 then begin
         t.lo <- max_int;
         t.hi <- 0
       end
@@ -346,7 +432,9 @@ module Make (I : ISA) = struct
     let rc = Region_cache.create ~tel:telemetry ~name:(name "rc") ~mem_bytes:cfg.mem_bytes
         ~spans:(fun r -> r.r_spans) () in
     (* the interpreter has no tier to go up to *)
-    let hot_calls = if predecode || blocks || regions then hot_calls else 0 in
+    let hot_calls =
+      if predecode || blocks || regions then min hot_calls Calls.max_calls else 0
+    in
     let calls = Calls.create ~mem_bytes:cfg.mem_bytes in
     let counted = hot_calls > 0 in
     (* The coherence watcher, one closure for every host-side cache so a
@@ -958,41 +1046,48 @@ module Make (I : ISA) = struct
     else if m.blocks then run_blocks_go m tags shift mask fuel
     else I.run_go m tags shift mask fuel
 
-  (* A cold call: the interpreter loop with the decode cache off, for
-     at most the entry's remaining cold budget.  A call that exhausts
-     it escapes to [ladder] where it stands — on a delay slot too,
-     which the ladder steps — with the fuel it has left, and the entry
-     is hot from then on; when the budget is the whole fuel, the exit
-     is the real out-of-fuel, on the same instruction as in any other
-     tier. *)
-  let run_cold m (c : Calls.cell) tags shift mask fuel =
-    let budget = c.left and i0 = m.insns in
+  (* A cold call at [entry], the [n]th: the interpreter loop with the
+     decode cache off, for at most the entry's remaining cold budget
+     [left].  A call that exhausts it escapes to [ladder] where it
+     stands — on a delay slot too, which the ladder steps — with the
+     fuel it has left, and the entry is hot from then on; when the
+     budget is the whole fuel, the exit is the real out-of-fuel, on the
+     same instruction as in any other tier.  The count is found again
+     afterwards: a store during the call may have forgotten it. *)
+  let run_cold m entry n left tags shift mask fuel =
+    let i0 = m.insns in
     m.pdc_on <- false;
-    match I.run_go m tags shift mask (min fuel budget) with
+    match I.run_go m tags shift mask (min fuel left) with
     | () ->
       m.pdc_on <- m.predecode;
-      c.left <- budget - (m.insns - i0)
-    | exception Fuel_exhausted when fuel > budget ->
+      Calls.spend m.calls entry (m.insns - i0)
+    | exception Fuel_exhausted when fuel > left ->
       m.pdc_on <- m.predecode;
-      if c.n < m.hot_calls then begin
-        c.n <- m.hot_calls;
+      if n < m.hot_calls then begin
+        Calls.heat m.calls entry m.hot_calls;
         Sim_probe.tier_up m.probe
       end;
-      ladder m tags shift mask (fuel - budget)
+      ladder m tags shift mask (fuel - left)
 
   (* The tier-up policy: an entry's first [hot_calls] calls run cold
      (the last one counted as its tier-up) unless their budget runs out
-     first; later calls run on [ladder]. *)
+     first; later calls run on [ladder].  A counted entry costs one
+     bounds test, one compare and one load, plus one store while it is
+     cold. *)
   let dispatch m tags shift mask fuel =
     if m.hot_calls = 0 then ladder m tags shift mask fuel
     else begin
-      let c = Calls.cell m.calls m.pc in
-      if c.Calls.n >= m.hot_calls then ladder m tags shift mask fuel
+      let calls = m.calls and entry = m.pc in
+      let h = Calls.find calls entry in
+      let h = if h = Calls.absent then Calls.add calls entry else h in
+      let st = Calls.get calls h in
+      let n = Calls.count st + 1 in
+      if n > m.hot_calls then ladder m tags shift mask fuel
       else begin
-        c.Calls.n <- c.Calls.n + 1;
+        Calls.set calls h (st + Calls.one_call);
         Sim_probe.cold_call m.probe;
-        if c.Calls.n = m.hot_calls then Sim_probe.tier_up m.probe;
-        run_cold m c tags shift mask fuel
+        if n = m.hot_calls then Sim_probe.tier_up m.probe;
+        run_cold m entry n (Calls.left st) tags shift mask fuel
       end
     end
 

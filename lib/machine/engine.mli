@@ -22,8 +22,9 @@
 module Types : sig
   exception Machine_error of string
 
-  (** per-entry call counts: a sparse table keyed by the entry pc's
-      256-byte granule *)
+  (** per-entry call counts: a flat int table indexed by the entry
+      pc's 256-byte granule, with a small overflow table for a second
+      entry in one granule *)
   type calls
 
   (** a compiled straight-line run (tier 2) *)

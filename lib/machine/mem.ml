@@ -15,6 +15,7 @@ type t = {
   data : Bytes.t;
   size : int;
   big_endian : bool;
+  swap : bool; (* the guest's byte order is not the host's *)
   mutable on_write : int -> int -> unit;
       (* called as [f addr len] after every mutation of [data]; always
          the composition of the live [watchers], rebuilt on every
@@ -33,6 +34,7 @@ let create ?(big_endian = false) ~size () =
     data = Bytes.make size '\000';
     size;
     big_endian;
+    swap = big_endian <> Sys.big_endian;
     on_write = ignore_write;
     watchers = [];
     next_watcher = 0;
@@ -93,16 +95,18 @@ let[@inline never] misalign_fail addr what =
   raise (Fault (Printf.sprintf "misaligned %s at 0x%x" what addr))
 
 (* bounds check for bulk operations; a zero-length operation is a no-op
-   permitted anywhere in [0, size] *)
+   permitted anywhere in [0, size].  The comparison is [addr > size -
+   len], never [addr + len > size], which wraps for [addr] near
+   [max_int]. *)
 let check_bounds t addr len what =
   if len < 0 then
     raise (Fault (Printf.sprintf "%s at 0x%x with negative length %d" what addr len));
-  if addr < 0 || addr + len > t.size then bounds_fail t addr len what
+  if addr < 0 || addr > t.size - len then bounds_fail t addr len what
 
 (* scalar accesses additionally require natural alignment; [len] is a
    compile-time constant at every call site *)
 let[@inline] check t addr len what =
-  if addr < 0 || addr + len > t.size then bounds_fail t addr len what;
+  if addr < 0 || addr > t.size - len then bounds_fail t addr len what;
   if len > 1 && addr land (len - 1) <> 0 then misalign_fail addr what
 
 let[@inline] read_u8 t addr =
@@ -133,21 +137,22 @@ let write_u16 t addr v =
   end;
   t.on_write addr 2
 
+(* A word is one unchecked 32-bit host access (the bounds are [check]'s),
+   byte-swapped when the guest's order is not the host's.  Each branch
+   converts on its own so the int32 never leaves a register. *)
+external get32u : Bytes.t -> int -> int32 = "%caml_bytes_get32u"
+external set32u : Bytes.t -> int -> int32 -> unit = "%caml_bytes_set32u"
+external bswap32 : int32 -> int32 = "%bswap_int32"
+
 let[@inline] read_u32 t addr =
   check t addr 4 "load32";
-  let b i = Char.code (Bytes.unsafe_get t.data (addr + i)) in
-  if t.big_endian then (b 0 lsl 24) lor (b 1 lsl 16) lor (b 2 lsl 8) lor b 3
-  else (b 3 lsl 24) lor (b 2 lsl 16) lor (b 1 lsl 8) lor b 0
+  if t.swap then Int32.to_int (bswap32 (get32u t.data addr)) land 0xFFFF_FFFF
+  else Int32.to_int (get32u t.data addr) land 0xFFFF_FFFF
 
 let write_u32 t addr v =
   check t addr 4 "store32";
-  let set i x = Bytes.unsafe_set t.data (addr + i) (Char.unsafe_chr (x land 0xff)) in
-  if t.big_endian then begin
-    set 0 (v lsr 24); set 1 (v lsr 16); set 2 (v lsr 8); set 3 v
-  end
-  else begin
-    set 0 v; set 1 (v lsr 8); set 2 (v lsr 16); set 3 (v lsr 24)
-  end;
+  if t.swap then set32u t.data addr (bswap32 (Int32.of_int v))
+  else set32u t.data addr (Int32.of_int v);
   t.on_write addr 4
 
 let read_u64 t addr : int64 =

@@ -7,6 +7,10 @@
 
 module Tel = Vmachine.Telemetry
 
+(* int-keyed, like the registry's key table: no [caml_hash] or
+   [compare_val] call per probe *)
+module Slabs = Hashtbl.Make (Int)
+
 let class_sizes = [| 32; 64; 128; 256; 512; 1024 |]
 
 type class_state = {
@@ -20,7 +24,7 @@ type t = {
   limit : int;
   mutable bump : int; (* next unclaimed byte address *)
   classes : class_state array;
-  owner : (int, int) Hashtbl.t; (* live slab addr -> class index *)
+  owner : int Slabs.t; (* live slab addr -> class index *)
   tel : Tel.t;
   c_fresh : Tel.counter;  (* slabs claimed from the frontier *)
   c_reuse : Tel.counter;  (* slabs served from a free list *)
@@ -37,7 +41,7 @@ let create ?(tel = Tel.disabled) ~base ~limit () =
     limit;
     bump = base;
     classes = Array.map (fun size -> { size; free = []; live = 0 }) class_sizes;
-    owner = Hashtbl.create 1024;
+    owner = Slabs.create 1024;
     tel;
     c_fresh = Tel.counter tel "server.arena.fresh";
     c_reuse = Tel.counter tel "server.arena.reuse";
@@ -64,7 +68,7 @@ let alloc t ~words =
     | addr :: rest ->
       cls.free <- rest;
       cls.live <- cls.live + 1;
-      Hashtbl.replace t.owner addr ci;
+      Slabs.replace t.owner addr ci;
       Tel.bump t.tel t.c_reuse;
       Some (addr, cls.size)
     | [] ->
@@ -77,23 +81,23 @@ let alloc t ~words =
         let addr = t.bump in
         t.bump <- t.bump + bytes;
         cls.live <- cls.live + 1;
-        Hashtbl.replace t.owner addr ci;
+        Slabs.replace t.owner addr ci;
         Tel.bump t.tel t.c_fresh;
         Some (addr, cls.size)
       end)
 
 let free t addr =
-  match Hashtbl.find_opt t.owner addr with
+  match Slabs.find_opt t.owner addr with
   | None -> invalid_arg (Printf.sprintf "Arena.free: 0x%x is not a live slab" addr)
   | Some ci ->
-    Hashtbl.remove t.owner addr;
+    Slabs.remove t.owner addr;
     let cls = t.classes.(ci) in
     cls.free <- addr :: cls.free;
     cls.live <- cls.live - 1;
     Tel.bump t.tel t.c_free
 
 let slab_words t addr =
-  match Hashtbl.find_opt t.owner addr with
+  match Slabs.find_opt t.owner addr with
   | None -> None
   | Some ci -> Some t.classes.(ci).size
 
@@ -101,7 +105,7 @@ let slab_words t addr =
    builds records and walks every free list, which is too heavy to
    call once per snapshot.  Free lists are bounded by the slab count,
    so the single-class List.length walks stay cheap. *)
-let live_slabs t = Hashtbl.length t.owner
+let live_slabs t = Slabs.length t.owner
 let bump_words t = (t.bump - t.base) / 4
 let free_slabs t ~cls = List.length t.classes.(cls).free
 
@@ -128,5 +132,5 @@ let stats (t : t) =
         t.classes;
     bump_words = (t.bump - t.base) / 4;
     window_words = (t.limit - t.base) / 4;
-    live_slabs = Hashtbl.length t.owner;
+    live_slabs = Slabs.length t.owner;
   }

@@ -14,6 +14,10 @@ open Vcodebase
 module Mem = Vmachine.Mem
 module Tel = Vmachine.Telemetry
 
+(* int-keyed: a probe hashes and compares keys inline, with no
+   [caml_hash] or [compare_val] call *)
+module Keys = Hashtbl.Make (Int)
+
 module Make (T : Target.S) = struct
   module DP = Dpf.Make (T)
 
@@ -24,12 +28,11 @@ module Make (T : Target.S) = struct
     rg_slab : int; (* slab words *)
     rg_words : int; (* emitted code words *)
     rg_entry : int;
-    mutable rg_hits : int;
     rg_epoch : int;
     mutable rg_slot : int; (* index in [dense] *)
   }
 
-  (* filler for unused [dense] and [heap] cells *)
+  (* filler for unused [dense] and [victims] cells *)
   let dummy =
     {
       rg_key = -1;
@@ -38,7 +41,6 @@ module Make (T : Target.S) = struct
       rg_slab = 0;
       rg_words = 0;
       rg_entry = -1;
-      rg_hits = 0;
       rg_epoch = -1;
       rg_slot = -1;
     }
@@ -47,9 +49,13 @@ module Make (T : Target.S) = struct
     mem : Mem.t;
     arena : Arena.t;
     tel : Tel.t;
-    table : (int, region) Hashtbl.t; (* key -> live region *)
+    table : region Keys.t; (* key -> live region *)
     mutable dense : region array; (* the live regions, in [0, s_live) *)
-    mutable heap : region array; (* scratch for k-coldest selection *)
+    mutable slot_hits : int array; (* lookups of [dense.(i)] *)
+    mutable slot_epochs : int array; (* [dense.(i).rg_epoch]; with [slot_hits],
+                                        all the coldest-selection scan reads *)
+    mutable heap : int array; (* dense slots, scratch for k-coldest selection *)
+    mutable victims : region array; (* the selection's regions, coldest first *)
     scratch : Codebuf.t; (* the batched queue's recycled buffer *)
     table_base : int; (* above the window; single filters emit no tables *)
     max_live : int option;
@@ -116,9 +122,12 @@ module Make (T : Target.S) = struct
       mem;
       arena = Arena.create ~tel ~base:arena_base ~limit:arena_limit ();
       tel;
-      table = Hashtbl.create 1024;
+      table = Keys.create 1024;
       dense = Array.make 64 dummy;
+      slot_hits = Array.make 64 0;
+      slot_epochs = Array.make 64 0;
       heap = [||];
+      victims = [||];
       scratch = Codebuf.create ~capacity:256 ();
       table_base = arena_limit;
       max_live;
@@ -151,17 +160,25 @@ module Make (T : Target.S) = struct
 
   let live t = t.s_live
 
+  let grown a fill =
+    let d = Array.make (2 * Array.length a) fill in
+    Array.blit a 0 d 0 (Array.length a);
+    d
+
   (* Append [r] to the dense live set, growing it by doubling. *)
   let link t r =
     if t.s_live = Array.length t.dense then begin
-      let d = Array.make (2 * t.s_live) dummy in
-      Array.blit t.dense 0 d 0 t.s_live;
-      t.dense <- d
+      t.dense <- grown t.dense dummy;
+      t.slot_hits <- grown t.slot_hits 0;
+      t.slot_epochs <- grown t.slot_epochs 0
     end;
-    r.rg_slot <- t.s_live;
-    t.dense.(t.s_live) <- r;
-    t.s_live <- t.s_live + 1;
-    Hashtbl.replace t.table r.rg_key r
+    let i = t.s_live in
+    r.rg_slot <- i;
+    t.dense.(i) <- r;
+    t.slot_hits.(i) <- 0;
+    t.slot_epochs.(i) <- r.rg_epoch;
+    t.s_live <- i + 1;
+    Keys.replace t.table r.rg_key r
 
   (* Remove [r] and scrub its slab.  The dense set closes the hole by
      moving its last region into [r]'s slot.  The zero-fill is the
@@ -169,11 +186,13 @@ module Make (T : Target.S) = struct
      engine tier retires translations over [rg_base, rg_base + 4*rg_slab)
      before the arena can reissue the address. *)
   let drop_region t r =
-    Hashtbl.remove t.table r.rg_key;
-    let last = t.s_live - 1 in
+    Keys.remove t.table r.rg_key;
+    let last = t.s_live - 1 and i = r.rg_slot in
     let moved = t.dense.(last) in
-    t.dense.(r.rg_slot) <- moved;
-    moved.rg_slot <- r.rg_slot;
+    t.dense.(i) <- moved;
+    t.slot_hits.(i) <- t.slot_hits.(last);
+    t.slot_epochs.(i) <- t.slot_epochs.(last);
+    moved.rg_slot <- i;
     t.dense.(last) <- dummy;
     t.s_live <- last;
     let t0 = Tel.timer_start t.tel in
@@ -182,7 +201,7 @@ module Make (T : Target.S) = struct
     Arena.free t.arena r.rg_base
 
   let evict t key =
-    match Hashtbl.find_opt t.table key with
+    match Keys.find_opt t.table key with
     | None -> false
     | Some r ->
       let t0 = Tel.timer_start t.tel in
@@ -192,51 +211,66 @@ module Make (T : Target.S) = struct
       Tel.timer_stop t.tel t.d_evict_ns t0;
       true
 
-  (* Eviction order: fewest hits, then oldest epoch, then lowest base.
-     A total order, so the victims never depend on table layout. *)
-  let colder a b =
-    a.rg_hits < b.rg_hits
-    || (a.rg_hits = b.rg_hits
-       && (a.rg_epoch < b.rg_epoch || (a.rg_epoch = b.rg_epoch && a.rg_base < b.rg_base)))
+  (* Eviction order of the regions at dense slots [i] and [j]: fewest
+     hits, then oldest epoch, then lowest base.  A total order, so the
+     victims never depend on table layout.  Epochs are unique, so the
+     flat arrays decide and the scan reads no region record: 10k of
+     them scattered over the heap cost about a cache miss each. *)
+  let colder t i j =
+    let hits = t.slot_hits and epochs = t.slot_epochs in
+    let hi = Array.unsafe_get hits i and hj = Array.unsafe_get hits j in
+    hi < hj
+    || hi = hj
+       &&
+       let ei = Array.unsafe_get epochs i and ej = Array.unsafe_get epochs j in
+       ei < ej || (ei = ej && t.dense.(i).rg_base < t.dense.(j).rg_base)
 
   (* Restore the max-heap order below [i] in [h.(0 .. n-1)]: the root is
-     the warmest region kept. *)
-  let rec sift_down h n i =
+     the warmest slot kept. *)
+  let rec sift_down t h n i =
     let l = (2 * i) + 1 in
     if l < n then begin
-      let c = if l + 1 < n && colder h.(l) h.(l + 1) then l + 1 else l in
-      if colder h.(i) h.(c) then begin
+      let c = if l + 1 < n && colder t h.(l) h.(l + 1) then l + 1 else l in
+      if colder t h.(i) h.(c) then begin
         let x = h.(i) in
         h.(i) <- h.(c);
         h.(c) <- x;
-        sift_down h n c
+        sift_down t h n c
       end
     end
 
-  (* Leave the [k] coldest live regions in [t.heap.(0 .. k-1)], coldest
-     first, and return [k] (clamped to the live count).  One pass over
-     the dense set keeps a k-entry max-heap of the coldest seen so far,
-     O(live * log k); an in-place heap sort then orders the victims. *)
+  (* Leave the [k] coldest live regions in [t.victims.(0 .. k-1)],
+     coldest first, and return [k] (clamped to the live count).  One
+     pass over the dense slots keeps a k-entry max-heap of the coldest
+     seen so far, O(live * log k); an in-place heap sort then orders
+     the victims.  Slots are below [s_live], inside all three arrays. *)
   let select_coldest t k =
     let k = min k t.s_live in
-    if Array.length t.heap < k then t.heap <- Array.make k dummy;
-    let h = t.heap and d = t.dense in
-    Array.blit d 0 h 0 k;
+    if Array.length t.heap < k then begin
+      t.heap <- Array.make k 0;
+      t.victims <- Array.make k dummy
+    end;
+    let h = t.heap in
+    for i = 0 to k - 1 do
+      h.(i) <- i
+    done;
     for i = (k / 2) - 1 downto 0 do
-      sift_down h k i
+      sift_down t h k i
     done;
     for i = k to t.s_live - 1 do
-      let r = d.(i) in
-      if colder r h.(0) then begin
-        h.(0) <- r;
-        sift_down h k 0
+      if colder t i h.(0) then begin
+        h.(0) <- i;
+        sift_down t h k 0
       end
     done;
     for n = k - 1 downto 1 do
       let x = h.(0) in
       h.(0) <- h.(n);
       h.(n) <- x;
-      sift_down h n 0
+      sift_down t h n 0
+    done;
+    for i = 0 to k - 1 do
+      t.victims.(i) <- t.dense.(h.(i))
     done;
     k
 
@@ -250,8 +284,8 @@ module Make (T : Target.S) = struct
     let k = select_coldest t k in
     Tel.timer_stop t.tel t.d_evict_scan_ns t0;
     for i = 0 to k - 1 do
-      drop_region t t.heap.(i);
-      t.heap.(i) <- dummy
+      drop_region t t.victims.(i);
+      t.victims.(i) <- dummy
     done;
     t.s_cap_evictions <- t.s_cap_evictions + k;
     Tel.add t.tel t.c_evict_cap k;
@@ -316,7 +350,7 @@ module Make (T : Target.S) = struct
     let estimate = estimate_words f in
     if estimate > max_slab then too_big estimate;
     let replaced =
-      match Hashtbl.find_opt t.table key with
+      match Keys.find_opt t.table key with
       | Some r ->
         drop_region t r;
         t.s_replaces <- t.s_replaces + 1;
@@ -357,7 +391,6 @@ module Make (T : Target.S) = struct
         rg_slab = slab;
         rg_words = words;
         rg_entry = c.Dpf.entry;
-        rg_hits = 0;
         rg_epoch = t.next_epoch;
         rg_slot = -1;
       }
@@ -380,9 +413,9 @@ module Make (T : Target.S) = struct
       kfs
 
   let lookup t key =
-    match Hashtbl.find_opt t.table key with
+    match Keys.find_opt t.table key with
     | Some r ->
-      r.rg_hits <- r.rg_hits + 1;
+      t.slot_hits.(r.rg_slot) <- t.slot_hits.(r.rg_slot) + 1;
       t.s_hits <- t.s_hits + 1;
       Tel.bump t.tel t.c_hit;
       Some r.rg_entry
@@ -392,7 +425,7 @@ module Make (T : Target.S) = struct
       None
 
   let find t key =
-    Hashtbl.find_opt t.table key
+    Keys.find_opt t.table key
     |> Option.map (fun r ->
            {
              base = r.rg_base;
@@ -400,20 +433,23 @@ module Make (T : Target.S) = struct
              code_words = r.rg_words;
              entry = r.rg_entry;
              fid = r.rg_fid;
-             hits = r.rg_hits;
+             hits = t.slot_hits.(r.rg_slot);
              epoch = r.rg_epoch;
            })
 
   let check_invariants t =
     let fail fmt = Printf.ksprintf failwith ("Server.check_invariants: " ^^ fmt) in
-    if Hashtbl.length t.table <> t.s_live then
-      fail "table holds %d regions, dense array %d" (Hashtbl.length t.table) t.s_live;
+    if Keys.length t.table <> t.s_live then
+      fail "table holds %d regions, dense array %d" (Keys.length t.table) t.s_live;
     if Arena.live_slabs t.arena <> t.s_live then
       fail "arena holds %d live slabs, registry %d" (Arena.live_slabs t.arena) t.s_live;
     for i = 0 to t.s_live - 1 do
       let r = t.dense.(i) in
       if r.rg_slot <> i then fail "key %d at slot %d records slot %d" r.rg_key i r.rg_slot;
-      (match Hashtbl.find_opt t.table r.rg_key with
+      if t.slot_epochs.(i) <> r.rg_epoch then
+        fail "key %d at slot %d: epoch %d, slot epoch %d" r.rg_key i r.rg_epoch
+          t.slot_epochs.(i);
+      (match Keys.find_opt t.table r.rg_key with
       | Some r' when r' == r -> ()
       | _ -> fail "key %d in the dense array but not the table" r.rg_key);
       if Arena.slab_words t.arena r.rg_base <> Some r.rg_slab then
@@ -428,13 +464,13 @@ module Make (T : Target.S) = struct
     for i = 0 to t.s_live - 1 do
       lo := min !lo t.dense.(i).rg_base
     done;
-    let claimed = Hashtbl.create (4 * t.s_live) in
+    let claimed = Keys.create (4 * t.s_live) in
     for i = 0 to t.s_live - 1 do
       let r = t.dense.(i) in
       for j = (r.rg_base - !lo) / g to (r.rg_base + (4 * r.rg_slab) - 1 - !lo) / g do
-        match Hashtbl.find_opt claimed j with
+        match Keys.find_opt claimed j with
         | Some k -> fail "slabs of keys %d and %d overlap at 0x%x" k r.rg_key (!lo + (j * g))
-        | None -> Hashtbl.add claimed j r.rg_key
+        | None -> Keys.add claimed j r.rg_key
       done
     done
 

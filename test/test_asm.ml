@@ -278,6 +278,12 @@ let neg_cases =
     ("bad-hex", "li $t0, 0xzz\n", 1, "malformed hex");
     ("unterminated-string", ".asciiz \"oops\n", 1, "unterminated string");
     ("stray-token", "addu $t0, $t1, $t2 extra\n", 1, "junk after operand");
+    (* an image no machine memory holds is refused in pass 1, before pass 2
+       would size a word array by it; neither case allocates the span *)
+    ("org-past-memory", ".org 0x3FFFFFFFFFFFFFF0\nmain: .word 1\n", 1, "largest machine memory");
+    ("space-wraps", ".space 0x3FFFFFFFFFFFFFF0\n.space 0x3FFFFFFFFFFFFFF0\n", 1,
+      "largest machine memory");
+    ("span-one-past-cap", ".org 0x80FFFC\n.word 1, 2\n", 2, "largest machine memory");
   ]
 
 let test_negative () =

@@ -380,6 +380,108 @@ let prop_mem_u64_roundtrip =
       Vmachine.Mem.write_u64 m 16 v;
       Vmachine.Mem.read_u64 m 16 = v)
 
+(* Bounds near [max_int]: [addr + len] wraps negative there, so a check
+   written that way lets the access through (a segfault on the unsafe
+   byte load, or [Invalid_argument] from [Bytes]).  Every accessor must
+   raise [Fault] instead. *)
+let test_mem_near_max_int () =
+  let m = Vmachine.Mem.create ~size:4096 () in
+  let expect_fault what f =
+    match f () with
+    | _ -> Alcotest.fail ("expected Fault: " ^ what)
+    | exception Vmachine.Mem.Fault _ -> ()
+  in
+  let top = max_int land lnot 7 in
+  expect_fault "read_u8 max_int" (fun () -> Vmachine.Mem.read_u8 m max_int);
+  expect_fault "write_u8 max_int" (fun () -> Vmachine.Mem.write_u8 m max_int 1);
+  expect_fault "read_u16" (fun () -> Vmachine.Mem.read_u16 m (top + 6));
+  expect_fault "write_u16" (fun () -> Vmachine.Mem.write_u16 m (top + 6) 1);
+  expect_fault "read_u32" (fun () -> Vmachine.Mem.read_u32 m (top + 4));
+  expect_fault "write_u32" (fun () -> Vmachine.Mem.write_u32 m (top + 4) 1);
+  expect_fault "read_u64" (fun () -> Vmachine.Mem.read_u64 m top);
+  expect_fault "write_u64" (fun () -> Vmachine.Mem.write_u64 m top 1L);
+  expect_fault "fill" (fun () -> Vmachine.Mem.fill m ~addr:(max_int - 1) ~len:4 'x');
+  expect_fault "blit_string" (fun () -> Vmachine.Mem.blit_string m ~addr:(max_int - 1) "abcd");
+  expect_fault "blit_bytes" (fun () ->
+      Vmachine.Mem.blit_bytes m ~addr:(max_int - 1) (Bytes.make 4 'x'));
+  expect_fault "read_string" (fun () -> ignore (Vmachine.Mem.read_string m ~addr:max_int ~len:1));
+  expect_fault "install_code" (fun () ->
+      let buf = Vcodebase.Codebuf.create () in
+      ignore (Vcodebase.Codebuf.emit buf 0 : int);
+      Vmachine.Mem.install_code m ~addr:top buf);
+  expect_fault "fill huge len" (fun () -> Vmachine.Mem.fill m ~addr:8 ~len:max_int 'x')
+
+(* The word accessors against a byte-wise reference: the same value or
+   the same [Fault] message, the same bytes stored, and the same
+   [on_write (addr, len)], in both byte orders and at aligned,
+   misaligned, negative, last-word and past-the-end addresses. *)
+let prop_mem_words_bytewise =
+  let size = 64 in
+  let addr_gen =
+    QCheck.Gen.(
+      oneof
+        [ int_range (-8) (size + 8); map (fun k -> 4 * k) (int_range (-2) 17);
+          map (fun k -> max_int - k) (int_range 0 8); return min_int ])
+  in
+  let gen = QCheck.Gen.(quad bool addr_gen (string_size (return size)) int) in
+  QCheck.Test.make ~name:"u32/u64 accessors match a byte-wise reference" ~count:2000
+    (QCheck.make gen)
+    (fun (be, addr, init, v) ->
+      let module M = Vmachine.Mem in
+      (* a memory holding [init], logging every write after that *)
+      let fresh () =
+        let m = M.create ~big_endian:be ~size () in
+        M.blit_string m ~addr:0 init;
+        let log = ref [] in
+        M.set_write_watcher m (fun a l -> log := (a, l) :: !log);
+        (m, log)
+      in
+      let image m = M.read_string m ~addr:0 ~len:size in
+      let result f = match f () with x -> Ok x | exception M.Fault msg -> Error msg in
+      (* the reference: the fault message, or the bytes' value *)
+      let ref_read len what =
+        if addr < 0 || addr > size - len then
+          Error
+            (Printf.sprintf "%s of %d bytes at 0x%x out of bounds (mem size 0x%x)" what len addr
+               size)
+        else if addr land (len - 1) <> 0 then Error (Printf.sprintf "misaligned %s at 0x%x" what addr)
+        else
+          Ok
+            (List.fold_left
+               (fun acc i -> (acc lsl 8) lor Char.code init.[addr + if be then i else len - 1 - i])
+               0 (List.init len Fun.id))
+      in
+      (* ... the image a store leaves *)
+      let ref_write len what =
+        Result.map
+          (fun _ ->
+            let b = Bytes.of_string init in
+            for i = 0 to len - 1 do
+              let sh = 8 * if be then len - 1 - i else i in
+              Bytes.set b (addr + i) (Char.chr ((v asr sh) land 0xFF))
+            done;
+            Bytes.to_string b)
+          (ref_read len what)
+      in
+      (* a faulting store must leave memory as it was *)
+      let store f =
+        let m, log = fresh () in
+        let r = result (fun () -> f m; image m) in
+        let r = match r with Error _ when image m <> init -> Error "memory changed" | r -> r in
+        (r, List.rev !log)
+      in
+      let m, _ = fresh () in
+      let w32, log32 = store (fun m -> M.write_u32 m addr v) in
+      let w64, log64 = store (fun m -> M.write_u64 m addr (Int64.of_int v)) in
+      let logged w l = match w with Ok _ -> l | Error _ -> [] in
+      result (fun () -> M.read_u32 m addr) = ref_read 4 "load32"
+      (* 64-bit values wrap to 63 bits the same way on both sides *)
+      && result (fun () -> Int64.to_int (M.read_u64 m addr)) = ref_read 8 "load64"
+      && w32 = ref_write 4 "store32"
+      && log32 = logged w32 [ (addr, 4) ]
+      && w64 = ref_write 8 "store64"
+      && log64 = logged w64 [ (addr, 4); (addr + 4, 4) ])
+
 let test_cache_behaviour () =
   let c = Vmachine.Cache.create ~size_bytes:64 ~line_bytes:16 ~miss_penalty:10 in
   check Alcotest.int "cold miss" 10 (Vmachine.Cache.access c 0);
@@ -441,6 +543,8 @@ let () =
           Alcotest.test_case "mem bulk bounds" `Quick test_mem_bulk_bounds;
           Alcotest.test_case "mem write watcher" `Quick test_mem_write_watcher;
           qtest prop_mem_u64_roundtrip;
+          Alcotest.test_case "mem near max_int" `Quick test_mem_near_max_int;
+          qtest prop_mem_words_bytewise;
           Alcotest.test_case "cache behaviour" `Quick test_cache_behaviour;
         ] );
     ]
