@@ -26,6 +26,7 @@ type t = {
   sp : Reg.t;                 (* stack pointer *)
   locals_base : int;          (* sp-relative byte offset of the locals area *)
   scratch : Reg.t;            (* reserved assembler temporary ($at-like) *)
+  fscratch : Reg.t;           (* reserved FP temporary *)
   reg_name : Reg.t -> string; (* target spelling, e.g. "$t0", "%o3" *)
 }
 

@@ -171,6 +171,7 @@ let dummy_desc : Machdesc.t =
     sp = Reg.R 0;
     locals_base = 0;
     scratch = Reg.R 0;
+    fscratch = Reg.F 3;
     reg_name = Reg.to_string;
   }
 

@@ -489,10 +489,11 @@ let run_moves ~scratch (moves : (int * int) list) =
   let initial = Array.copy regs in
   let nmoves = ref 0 in
   Gen.parallel_moves
-    ~emit_mov:(fun d s ->
+    ~emit_mov:(fun () d s ->
       incr nmoves;
       regs.(d) <- regs.(s))
-    ~scratch moves;
+    ~scratch
+    (List.map (fun (d, s) -> (d, s, ())) moves);
   List.iter
     (fun (d, s) ->
       Alcotest.(check int)
