@@ -90,10 +90,15 @@ module Make (T : Target.S) = struct
     | (Tuint | Tuchar | Tushort), _ | _, (Tuint | Tuchar | Tushort) -> Tuint
     | _ -> Tint
 
+  (* a temp, else a var: a call's evaluated arguments all stay live
+     until the call, so a long argument list outgrows the temp pool *)
   let temp ctx (t : ty) =
     match V.getreg ctx.g ~cls:`Temp (value_vt t) with
     | Some r -> r
-    | None -> cfail "out of temporary registers (expression too deep)"
+    | None -> (
+      match V.getreg ctx.g ~cls:`Var (value_vt t) with
+      | Some r -> r
+      | None -> cfail "out of registers (expression too deep)")
 
   let free ctx r ~owned = if owned then V.putreg ctx.g r
 

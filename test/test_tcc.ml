@@ -1,7 +1,7 @@
 (* tcc tests: compile C-subset programs to VCODE, run them on the MIPS
    simulator, and compare against expected (OCaml-computed) results.
-   A sample of programs also runs on SPARC and Alpha to check the
-   machine-independence claim of section 4.1. *)
+   A sample of programs also runs on SPARC, Alpha and PowerPC to check
+   the machine-independence claim of section 4.1. *)
 
 (* every program compiled here is also lexed by the old tokenizer in
    Lexer_oracle, which must agree with the scanner *)
@@ -426,7 +426,45 @@ let test_errors () =
   bad "int f(int a) { break; }" (* break outside loop *);
   bad "int f(int a) { return a +; }" (* syntax *)
 
-(* the same source compiled for all three targets gives the same result *)
+(* [src]'s function [fn] compiled and run on every port *)
+let on_ports src fn args =
+  let install mem funcs =
+    List.iter
+      (fun (_, code) ->
+        Vmachine.Mem.install_code mem ~addr:code.Vcode.base code.Vcode.gen.Vcodebase.Gen.buf)
+      funcs
+  in
+  let cfg = Vmachine.Mconfig.test_config in
+  let sparc =
+    let module CS = Tcc.Tcc_compile.Make (Vsparc.Sparc_backend) in
+    let module S = Vsparc.Sparc_sim in
+    let prog = CS.compile ~base:0x10000 src in
+    let m = S.create cfg in
+    install m.S.mem prog.CS.funcs;
+    S.call m ~entry:(CS.entry prog fn) (List.map (fun v -> S.Int v) args);
+    S.ret_int m
+  in
+  let alpha =
+    let module CA = Tcc.Tcc_compile.Make (Valpha.Alpha_backend) in
+    let module S = Valpha.Alpha_sim in
+    let prog = CA.compile ~base:0x10000 src in
+    let m = S.create cfg in
+    install m.S.mem prog.CA.funcs;
+    S.call m ~entry:(CA.entry prog fn) (List.map (fun v -> S.Int v) args);
+    S.ret_int m
+  in
+  let ppc =
+    let module CP = Tcc.Tcc_compile.Make (Vppc.Ppc_backend) in
+    let module S = Vppc.Ppc_sim in
+    let prog = CP.compile ~base:0x10000 src in
+    let m = S.create cfg in
+    install m.S.mem prog.CP.funcs;
+    S.call m ~entry:(CP.entry prog fn) (List.map (fun v -> S.Int v) args);
+    S.ret_int m
+  in
+  [ ("mips", run src fn args); ("sparc", sparc); ("alpha", alpha); ("ppc", ppc) ]
+
+(* the same source compiled for every target gives the same result *)
 let test_cross_target () =
   let src =
     {|
@@ -441,37 +479,7 @@ let test_cross_target () =
       int f(int a, int b) { return gcd(a, b) + gcd(b, a); }
     |}
   in
-  let mips =
-    let r = run src "f" [ 1071; 462 ] in
-    r
-  in
-  let sparc =
-    let module CS = Tcc.Tcc_compile.Make (Vsparc.Sparc_backend) in
-    let module S = Vsparc.Sparc_sim in
-    let prog = CS.compile ~base:0x1000 src in
-    let m = S.create Vmachine.Mconfig.test_config in
-    List.iter
-      (fun (_, code) ->
-        Vmachine.Mem.install_code m.S.mem ~addr:code.Vcode.base code.Vcode.gen.Vcodebase.Gen.buf)
-      prog.CS.funcs;
-    S.call m ~entry:(CS.entry prog "f") [ S.Int 1071; S.Int 462 ];
-    S.ret_int m
-  in
-  let alpha =
-    let module CA = Tcc.Tcc_compile.Make (Valpha.Alpha_backend) in
-    let module S = Valpha.Alpha_sim in
-    let prog = CA.compile ~base:0x10000 src in
-    let m = S.create Vmachine.Mconfig.test_config in
-    List.iter
-      (fun (_, code) ->
-        Vmachine.Mem.install_code m.S.mem ~addr:code.Vcode.base code.Vcode.gen.Vcodebase.Gen.buf)
-      prog.CA.funcs;
-    S.call m ~entry:(CA.entry prog "f") [ S.Int 1071; S.Int 462 ];
-    S.ret_int m
-  in
-  check Alcotest.int "gcd on MIPS" 42 mips;
-  check Alcotest.int "same on SPARC" mips sparc;
-  check Alcotest.int "same on Alpha" mips alpha
+  List.iter (fun (port, r) -> check Alcotest.int ("gcd on " ^ port) 42 r) (on_ports src "f" [ 1071; 462 ])
 
 let test_many_args_and_deep_calls () =
   let src =
@@ -485,6 +493,23 @@ let test_many_args_and_deep_calls () =
     |}
   in
   check Alcotest.int "8-arg call" (8 * 10 + 28) (run src "f" [ 10 ])
+
+(* one call-arity limit on every port: twelve evaluated arguments
+   outgrow every temp pool, and the rest go to var registers *)
+let test_twelve_args_every_port () =
+  let src =
+    {|
+      int sum12(int a, int b, int c, int d, int e, int f, int g, int h,
+                int i, int j, int k, int l) {
+        return a + 2*b + 3*c + 4*d + 5*e + 6*f + 7*g + 8*h + 9*i + 10*j + 11*k + 12*l;
+      }
+      int f(int x) {
+        return sum12(x, x+1, x+2, x+3, x+4, x+5, x+6, x+7, x+8, x+9, x+10, x+11);
+      }
+    |}
+  in
+  let expect = List.fold_left ( + ) 0 (List.init 12 (fun k -> (k + 1) * (10 + k))) in
+  List.iter (fun (port, r) -> check Alcotest.int ("12-arg call on " ^ port) expect r) (on_ports src "f" [ 10 ])
 
 let () =
   Random.self_init ();
@@ -512,6 +537,7 @@ let () =
           Alcotest.test_case "recursion" `Quick test_recursion;
           Alcotest.test_case "mutual" `Quick test_mutual_functions;
           Alcotest.test_case "8 args" `Quick test_many_args_and_deep_calls;
+          Alcotest.test_case "12 args, every port" `Quick test_twelve_args_every_port;
         ] );
       ( "memory",
         [
