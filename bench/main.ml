@@ -744,47 +744,6 @@ let bench_ablation_strength () =
   Printf.printf "\n"
 
 (* ------------------------------------------------------------------ *)
-(* Bechamel wall-clock sanity: one Test.make per table, timing the
-   whole simulated operation on the host.  The table values above come
-   from deterministic simulated cycles; these wall-clock numbers simply
-   confirm the harness itself is not the bottleneck.                   *)
-
-let bench_wallclock () =
-  Printf.printf "== wall-clock sanity (Bechamel, host ns per operation) ==\n\n";
-  (* table 3 fixture: DPF classify one packet *)
-  let t3 =
-    let filters = Dpf.Filter.tcpip_filters 10 in
-    let c = DP.compile ~base:0x1000 ~table_base:0x200000 filters in
-    let m = Sim.create Vmachine.Mconfig.dec5000 in
-    Vmachine.Mem.install_code m.Sim.mem ~addr:c.Dpf.code.Vcode.base
-      c.Dpf.code.Vcode.gen.Gen.buf;
-    DP.install_tables m.Sim.mem c;
-    Dpf.Packet.install m.Sim.mem ~addr:pkt_addr (Dpf.Packet.tcp ~dst_port:1004 ());
-    Test.make ~name:"table3-dpf-classify"
-      (Staged.stage (fun () ->
-           Sim.call m ~entry:c.Dpf.entry [ Sim.Int pkt_addr; Sim.Int 40 ];
-           Sys.opaque_identity (Sim.ret_int m)))
-  in
-  (* table 4 fixture: one ASH pipeline pass over 8KB *)
-  let t4 =
-    let m = Sim.create Vmachine.Mconfig.dec5000 in
-    let ash = ASH.gen_ash ~base:0x1000 [ Ash.Copy; Ash.Checksum ] in
-    Vmachine.Mem.install_code m.Sim.mem ~addr:ash.Vcode.base ash.Vcode.gen.Gen.buf;
-    Test.make ~name:"table4-ash-run"
-      (Staged.stage (fun () ->
-           Sim.call m ~entry:ash.Vcode.entry_addr
-             [ Sim.Int dst_addr; Sim.Int src_addr; Sim.Int 2048 ];
-           Sys.opaque_identity (Sim.ret_int m)))
-  in
-  let tbl = run_benchmarks [ t3; t4 ] in
-  Hashtbl.iter
-    (fun name ns ->
-      record ("wallclock." ^ slug name ^ ".ns_per_op") ns;
-      Printf.printf "   %-24s %12.0f ns/op\n" name ns)
-    tbl;
-  Printf.printf "\n"
-
-(* ------------------------------------------------------------------ *)
 (* Section: sim-throughput -- host-side simulator speed (simulated
    instructions retired per host second) in four engine modes:
    plain interpretation ("off"), the shared predecode layer
@@ -1127,7 +1086,6 @@ let run_all () =
   bench_ablation_dpf ();
   bench_ablation_vregs ();
   bench_ablation_strength ();
-  bench_wallclock ();
   bench_sim_throughput ();
   bench_corpus ();
   let _, _, batch = bench_router () in
@@ -1144,7 +1102,7 @@ let run_all () =
 let usage () =
   prerr_endline
     "usage: main.exe [--json FILE] [--telemetry] [MODE...]\n\
-     modes: all (default) codegen table3 table4 peephole space ablations wallclock\n\
+     modes: all (default) codegen table3 table4 peephole space ablations\n\
      \       sim-throughput corpus router json-selftest";
   exit 2
 
@@ -1159,7 +1117,6 @@ let run_mode = function
       bench_ablation_dpf ();
       bench_ablation_vregs ();
       bench_ablation_strength ()
-  | "wallclock" -> bench_wallclock ()
   | "sim-throughput" -> bench_sim_throughput ()
   | "corpus" -> bench_corpus ()
   | "router" -> ignore (bench_router () : float * float * float)
