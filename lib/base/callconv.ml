@@ -55,7 +55,6 @@ let next c st t =
 let[@inline] loc st = (st lsr 32) - loc_bias
 let[@inline] on_stack loc = loc < 0
 let[@inline] stack_offset loc = -loc - 1
-let reg loc = Reg.of_int loc
 
 let callee_reg c loc =
   match Reg.of_int loc with Reg.R n -> Reg.R (n + c.window) | r -> r

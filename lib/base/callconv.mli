@@ -55,9 +55,6 @@ val on_stack : int -> bool
 (** the byte offset of a stack location from the caller's [sp] *)
 val stack_offset : int -> int
 
-(** a register location, caller's view *)
-val reg : int -> Reg.t
-
 (** a register location as the callee sees it *)
 val callee_reg : t -> int -> Reg.t
 
