@@ -59,6 +59,10 @@ type t = {
   mutable call_args : int array;
       (** packed, stride 2: [Vtype.to_int], [Reg.to_int]; push order *)
   mutable ncall_args : int;
+  mutable moves : int array;
+      (** packed, stride 4: [Reg.to_int] destination and source,
+          [Vtype.to_int], state — the queue of {!parallel_moves} *)
+  mutable nmoves : int;
   mutable int_in_use : int;  (** allocator bitmask over the int file *)
   mutable flt_in_use : int;
   overrides : cls_override array;
@@ -217,11 +221,17 @@ val alloc_local : t -> bytes:int -> align:int -> int
     (section 5.2) *)
 val place_fimms : t -> big_endian:bool -> patch:(site:int -> addr:int -> unit) -> unit
 
-(** resolve a parallel move [(dst, src, ty)] within one register file,
-    [emit_mov ty dst src] per move; moves without conflicts keep their
-    order, and cycles are broken through [scratch] *)
-val parallel_moves :
-  emit_mov:('a -> int -> int -> unit) -> scratch:int -> (int * int * 'a) list -> unit
+(** queue the move [dst <- src] of one parallel move *)
+val push_move : t -> Vtype.t -> dst:Reg.t -> src:Reg.t -> unit
+
+(** does a queued move other than [r <- r] write [r]? *)
+val move_writes : t -> Reg.t -> bool
+
+(** resolve the queued moves of [scratch]'s register file as one
+    parallel move, [move g ty dst src] per move, and drop them from the
+    queue; moves without conflicts keep their order, and cycles are
+    broken through [scratch].  Allocates nothing. *)
+val parallel_moves : t -> move:(t -> Vtype.t -> Reg.t -> Reg.t -> unit) -> scratch:Reg.t -> unit
 
 (** {2 Space accounting for the in-place-generation experiment} *)
 

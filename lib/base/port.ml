@@ -111,38 +111,32 @@ let bind_params g ~reserve ~fill (tys : Vtype.t array) =
    own parameter, or a temp that is also an argument register), so a
    cycle goes through the file's scratch register.  Returns the target
    to call: a target register that a move overwrites is copied first
-   into [via], which no move reads or writes. *)
+   into [via], which no move reads or writes.  Allocates nothing but
+   the returned target. *)
 let place_call_args g (f : frame) ~move ~via (target : Gen.jtarget) =
   let d = g.Gen.desc in
   let c = d.Machdesc.conv in
-  let imoves = ref [] and fmoves = ref [] in
   let st = ref Callconv.start in
   for i = 0 to Gen.call_arg_count g - 1 do
-    let t = Gen.call_arg_ty g i and src = rnum (Gen.call_arg_reg g i) in
+    let t = Gen.call_arg_ty g i and src = Gen.call_arg_reg g i in
     st := Callconv.next c !st t;
     let l = Callconv.loc !st in
     if Callconv.on_stack l then begin
       if Callconv.overflows c l t then
         Verror.fail (Verror.Unsupported "outgoing arguments overflow their stack area");
-      emit g (f.store t src (Callconv.stack_offset l))
+      emit g (f.store t (rnum src) (Callconv.stack_offset l))
     end
-    else if Vtype.is_float t then fmoves := (l lsr 1, src, t) :: !fmoves
-    else imoves := (l lsr 1, src, t) :: !imoves
+    else Gen.push_move g t ~dst:(if Vtype.is_float t then Reg.f (l lsr 1) else Reg.r (l lsr 1)) ~src
   done;
   let target =
     match target with
-    | Gen.Jreg (Reg.R n) when List.exists (fun (d, s, _) -> d = n && s <> n) !imoves ->
-      move g Vtype.P (Reg.R via) (Reg.R n);
-      Gen.Jreg (Reg.R via)
+    | Gen.Jreg (Reg.R _ as r) when Gen.move_writes g r ->
+      move g Vtype.P (Reg.r via) r;
+      Gen.Jreg (Reg.r via)
     | t -> t
   in
-  let resolve moves scratch reg =
-    Gen.parallel_moves ~scratch:(rnum scratch)
-      ~emit_mov:(fun t dst s -> move g t (reg dst) (reg s))
-      (List.rev moves)
-  in
-  resolve !fmoves d.Machdesc.fscratch (fun n -> Reg.F n);
-  resolve !imoves d.Machdesc.scratch (fun n -> Reg.R n);
+  Gen.parallel_moves g ~move ~scratch:d.Machdesc.fscratch;
+  Gen.parallel_moves g ~move ~scratch:d.Machdesc.scratch;
   Gen.clear_call_args g;
   target
 

@@ -16,7 +16,14 @@ let[@inline] is_float = function F _ -> true | R _ -> false
    Used by Gen's int-packed side tables so recording a register during
    emission allocates nothing. *)
 let[@inline] to_int = function R n -> n lsl 1 | F n -> (n lsl 1) lor 1
-let[@inline] of_int i = if i land 1 = 0 then R (i lsr 1) else F (i lsr 1)
+let unpack i = if i land 1 = 0 then R (i lsr 1) else F (i lsr 1)
+
+(* the first 64 registers of each file, built once, so that naming one
+   through [of_int], [r] or [f] allocates nothing *)
+let packed = Array.init 128 unpack
+let[@inline] of_int i = if i < 128 then Array.unsafe_get packed i else unpack i
+let[@inline] r n = of_int (n lsl 1)
+let[@inline] f n = of_int ((n lsl 1) lor 1)
 let[@inline] equal a b = to_int a = to_int b
 let compare (a : t) (b : t) = compare a b
 

@@ -488,12 +488,11 @@ let run_moves ~scratch (moves : (int * int) list) =
   let regs = Array.init nregs (fun i -> 100 + i) in
   let initial = Array.copy regs in
   let nmoves = ref 0 in
-  Gen.parallel_moves
-    ~emit_mov:(fun () d s ->
+  let g = Gen.create Vmips.Mips_backend.desc in
+  List.iter (fun (d, s) -> Gen.push_move g Vtype.I ~dst:(Reg.r d) ~src:(Reg.r s)) moves;
+  Gen.parallel_moves g ~scratch:(Reg.r scratch) ~move:(fun _ _ d s ->
       incr nmoves;
-      regs.(d) <- regs.(s))
-    ~scratch
-    (List.map (fun (d, s) -> (d, s, ())) moves);
+      regs.(Reg.idx d) <- regs.(Reg.idx s));
   List.iter
     (fun (d, s) ->
       Alcotest.(check int)
@@ -564,6 +563,35 @@ let test_zero_alloc_steady_state () =
     true
     (per_insn <= 0.001)
 
+(* A call's register arguments are queued and resolved in Gen's int
+   table: a call whose arguments form a cycle allocates no more than a
+   call without arguments. *)
+let test_zero_alloc_call_args () =
+  let g, a = Mips_u.lambda ~base:0x1000 ~capacity:16384 "%i%i%i" in
+  let cycle () =
+    for _ = 1 to 100 do
+      Mips_u.push_arg g Vtype.I a.(2);
+      Mips_u.push_arg g Vtype.I a.(0);
+      Mips_u.push_arg g Vtype.I a.(1);
+      Mips_u.do_call g (Gen.Jaddr 0x2000)
+    done
+  and bare () =
+    for _ = 1 to 100 do
+      Mips_u.do_call g (Gen.Jaddr 0x2000)
+    done
+  in
+  let measure f =
+    let a = Gc.minor_words () in
+    f ();
+    Gc.minor_words () -. a
+  in
+  cycle ();
+  bare ();
+  let d = measure cycle -. measure bare in
+  Alcotest.(check bool)
+    (Printf.sprintf "argument moves allocate 0 words (got %.0f over 100 calls)" d)
+    true (d <= 0.)
+
 let () =
   Alcotest.run "gen-fuzz"
     [
@@ -580,5 +608,8 @@ let () =
           Alcotest.test_case "swap plus chain" `Quick test_moves_mixed;
         ] );
       ( "allocation",
-        [ Alcotest.test_case "unchecked steady state" `Quick test_zero_alloc_steady_state ] );
+        [
+          Alcotest.test_case "unchecked steady state" `Quick test_zero_alloc_steady_state;
+          Alcotest.test_case "call argument moves" `Quick test_zero_alloc_call_args;
+        ] );
     ]
